@@ -59,7 +59,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "insert": [{"n_nodes": 128, "array_items": 100_000, "scalar_items": 10_000}],
         "count": [{"n_nodes": 64, "m": 64, "items": 20_000, "counts": 5}],
         "count_faulty": [{"n_nodes": 64, "m": 64, "items": 20_000, "counts": 5}],
-        "count_regstore": [{"n_nodes": 64, "m": 64, "items": 20_000, "counts": 5}],
         "count_traced": [
             {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 3},
         ],
@@ -67,13 +66,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "parallel": {
             "jobs": [1, 2],
             "sweep": {"ms": (32, 64), "n_nodes": 32, "scale": 2e-4, "trials": 1},
-        },
-        "parallel_shared": {
-            "jobs": [1, 2],
-            "n_nodes": 64,
-            "m": 64,
-            "items": 50_000,
-            "metrics": 4,
         },
     },
     "default": {
@@ -88,9 +80,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "count_faulty": [
             {"n_nodes": 256, "m": 128, "items": 100_000, "counts": 8},
         ],
-        "count_regstore": [
-            {"n_nodes": 1024, "m": 512, "items": 200_000, "counts": 4},
-        ],
         "count_traced": [
             {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 8},
         ],
@@ -98,13 +87,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "parallel": {
             "jobs": [1, 2, 4, 8],
             "sweep": {"ms": (64, 128, 256), "n_nodes": 64, "scale": 2e-3, "trials": 2},
-        },
-        "parallel_shared": {
-            "jobs": [1, 2, 4],
-            "n_nodes": 256,
-            "m": 128,
-            "items": 250_000,
-            "metrics": 6,
         },
     },
     # Internet-scale families gated by the ``scale-smoke`` CI job against
@@ -141,10 +123,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "count_faulty": [
             {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 4},
         ],
-        "count_regstore": [
-            {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 4},
-            {"n_nodes": 4096, "m": 1024, "items": 1_000_000, "counts": 2},
-        ],
         "count_traced": [
             {"n_nodes": 1024, "m": 512, "items": 1_000_000, "counts": 4},
         ],
@@ -152,13 +130,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "parallel": {
             "jobs": [1, 2, 4, 8],
             "sweep": {"ms": (64, 128, 256, 512), "n_nodes": 128, "scale": 1e-2, "trials": 2},
-        },
-        "parallel_shared": {
-            "jobs": [1, 2, 4, 8],
-            "n_nodes": 1024,
-            "m": 512,
-            "items": 1_000_000,
-            "metrics": 8,
         },
     },
 }
@@ -348,78 +319,6 @@ def bench_count_faulty(
     }
 
 
-def bench_count_backend(
-    n_nodes: int, m: int, items: int, counts: int
-) -> Dict[str, Any]:
-    """Array-backend count throughput vs the packed reference backend.
-
-    Runs the exact :func:`bench_count` workload twice in-process — once
-    per ``DHSConfig(store=...)`` backend — and reports the array
-    backend's stats alongside ``speedup_vs_packed`` and an
-    ``identical_to_serial`` flag asserting both backends produced the
-    same estimates and hop counts (the regstore determinism contract).
-    ``check.py`` hard-fails when the array backend is slower than the
-    layout it replaced or the flag flips; both checks are same-process
-    A/B comparisons, so no machine-tolerance factor applies.
-    """
-    deployments: Dict[str, Any] = {}
-    origins_by_store: Dict[str, List[int]] = {}
-    for store in ("array", "packed"):
-        ring = ChordRing.build(n_nodes, bits=64, seed=SEED)
-        dhs = DistributedHashSketch(
-            ring, DHSConfig(num_bitmaps=m, key_bits=24, store=store), seed=SEED
-        )
-        dhs.insert_array("perf", np.arange(items, dtype=np.int64))
-        rng = rng_for(SEED, "perf-count-regstore", n_nodes, m)
-        deployments[store] = dhs
-        origins_by_store[store] = [ring.random_live_node(rng) for _ in range(counts)]
-
-    def one_pass(store: str) -> Any:
-        dhs = deployments[store]
-        hops = 0
-        seen: List[Any] = []
-        start = time.perf_counter()
-        for origin in origins_by_store[store]:
-            result = dhs.count("perf", origin=origin)
-            hops += result.cost.hops
-            seen.append((result.estimates, result.cost.hops, result.probes))
-        return time.perf_counter() - start, hops, seen
-
-    # Alternating best-of repetitions with the collector parked, exactly
-    # like bench_count_traced: the speedup is a same-process A/B ratio
-    # and must not be at the mercy of one scheduler hiccup.
-    best: Dict[str, float] = {"array": float("inf"), "packed": float("inf")}
-    hops_by_store: Dict[str, int] = {}
-    outcomes: Dict[str, List[Any]] = {}
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(5):
-            for store in ("array", "packed"):
-                seconds, hops, seen = one_pass(store)
-                best[store] = min(best[store], seconds)
-                hops_by_store[store] = hops
-                outcomes[store] = seen
-    finally:
-        gc.enable()
-    per_store = {
-        store: {
-            "ops": counts,
-            "seconds": round(seconds, 4),
-            "ops_per_sec": round(counts / seconds, 2),
-            "hops_per_op": round(hops_by_store[store] / counts, 1),
-        }
-        for store, seconds in best.items()
-    }
-    entry = per_store["array"]
-    entry["packed_ops_per_sec"] = per_store["packed"]["ops_per_sec"]
-    entry["speedup_vs_packed"] = round(
-        entry["ops_per_sec"] / per_store["packed"]["ops_per_sec"], 2
-    )
-    entry["identical_to_serial"] = outcomes["array"] == outcomes["packed"]
-    return entry
-
-
 def bench_count_traced(
     n_nodes: int, m: int, items: int, counts: int
 ) -> Dict[str, Any]:
@@ -430,12 +329,11 @@ def bench_count_traced(
     ``MetricsRegistry``) — and reports the enabled throughput along with
     ``overhead_vs_disabled_pct``.  Three alternating repetitions per mode
     (best-of) damp scheduler noise.  ``check.py`` hard-fails when the
-    overhead exceeds its ``--max-traced-overhead`` budget (40% by
+    overhead exceeds its ``--max-traced-overhead`` budget (25% by
     default); the disabled mode is covered by the ordinary ``count/``
     entry's baseline comparison, pinning the flag-check cost at ~0.
-    The overhead includes losing the array-backend count fast path —
-    ``Counter._fast`` requires observability off — so the traced pass
-    pays the reference probe path plus the span/metric cost.
+    Both modes run the same probe walk and per-probe read; the overhead
+    is the span, event and metric recording alone.
 
     The specs pin the *representative* deployment (the ``count/n1024_m512``
     headline workload): per-span overhead is a fixed pure-Python cost, so
@@ -563,92 +461,6 @@ def bench_parallel(jobs_list: List[int], sweep: Dict[str, Any]) -> Dict[str, Dic
     return entries
 
 
-def _store_fingerprint(dhs: DistributedHashSketch) -> Dict[int, Dict[Any, Any]]:
-    """Full logical store state, backend-agnostic (masks + TTL maps)."""
-    return {
-        node_id: {
-            key: (slot.mask, dict(slot.expiring) if slot.expiring else None)
-            for key, slot in dhs.dht.node(node_id).store.items()
-        }
-        for node_id in dhs.dht.node_ids()
-    }
-
-
-def bench_parallel_shared(
-    jobs_list: List[int], n_nodes: int, m: int, items: int, metrics: int
-) -> Dict[str, Dict[str, Any]]:
-    """Zero-copy shared-memory parallelism at several ``DHS_JOBS`` widths.
-
-    Two workloads per width (see :mod:`repro.core.shared`):
-
-    * ``count`` — one populated deployment, its arena migrated into
-      shared memory, every metric counted by forked workers against the
-      same physical register pages;
-    * ``insert`` — a fresh twin deployment per width, workers ORing
-      hashed chunk deltas into shared arenas that the parent tree-merges
-      before performing the serial stores.
-
-    Every width must reproduce the serial results (and, for insert, the
-    full node-store state) exactly; the ``identical_to_serial`` flag is
-    a hard ``check.py`` failure when false.  Speedups only show up on
-    multi-core runners — on one core the flags still verify the
-    contract.
-    """
-    entries: Dict[str, Dict[str, Any]] = {}
-    size = f"n{n_nodes}_m{m}"
-    metric_ids = [f"perf{i}" for i in range(metrics)]
-
-    ring = ChordRing.build(n_nodes, bits=64, seed=SEED)
-    dhs = DistributedHashSketch(
-        ring, DHSConfig(num_bitmaps=m, key_bits=24), seed=SEED
-    )
-    per_metric = max(items // metrics, 1)
-    for i, metric in enumerate(metric_ids):
-        dhs.insert_array(
-            metric,
-            np.arange(i * per_metric, (i + 1) * per_metric, dtype=np.int64),
-        )
-    serial_view = None
-    for jobs in jobs_list:
-        start = time.perf_counter()
-        results = dhs.count_parallel(metric_ids, jobs=jobs)
-        seconds = time.perf_counter() - start
-        view = [(r.estimates, r.cost.hops, r.probes) for r in results]
-        if serial_view is None:
-            serial_view = view
-        entries[f"parallel_shared/count/{size}/jobs{jobs}"] = {
-            "ops": metrics,
-            "seconds": round(seconds, 4),
-            "ops_per_sec": round(metrics / seconds, 2),
-            "jobs": jobs,
-            "identical_to_serial": view == serial_view,
-        }
-    if dhs.arena is not None:
-        dhs.arena.close()  # reclaim the shared segment before the next phase
-
-    ids = np.arange(items, dtype=np.int64)
-    serial_state = None
-    for jobs in jobs_list:
-        ring = ChordRing.build(n_nodes, bits=64, seed=SEED)
-        dhs = DistributedHashSketch(
-            ring, DHSConfig(num_bitmaps=m, key_bits=24), seed=SEED
-        )
-        start = time.perf_counter()
-        cost = dhs.insert_array_parallel("perf", ids, jobs=jobs)
-        seconds = time.perf_counter() - start
-        state = (_store_fingerprint(dhs), cost.hops, round(cost.bytes, 4))
-        if serial_state is None:
-            serial_state = state
-        entries[f"parallel_shared/insert/n{n_nodes}_items{items}/jobs{jobs}"] = {
-            "ops": items,
-            "seconds": round(seconds, 4),
-            "ops_per_sec": round(items / seconds, 1),
-            "jobs": jobs,
-            "identical_to_serial": state == serial_state,
-        }
-    return entries
-
-
 def run_suite(preset: str, only: set | None = None) -> Dict[str, Any]:
     sizes = PRESETS[preset]
     benchmarks: Dict[str, Dict[str, Any]] = {}
@@ -710,13 +522,6 @@ def run_suite(preset: str, only: set | None = None) -> Dict[str, Any]:
             spec["n_nodes"], spec["m"], spec["items"], spec["counts"]
         )
 
-    for spec in sizes.get("count_regstore", []) if want("count_regstore") else []:
-        name = f"count_regstore/n{spec['n_nodes']}_m{spec['m']}"
-        print(f"[perf] {name} ...", flush=True)
-        benchmarks[name] = bench_count_backend(
-            spec["n_nodes"], spec["m"], spec["items"], spec["counts"]
-        )
-
     for spec in sizes.get("count_traced", []) if want("count_traced") else []:
         name = f"count_traced/n{spec['n_nodes']}_m{spec['m']}"
         print(f"[perf] {name} ...", flush=True)
@@ -733,19 +538,6 @@ def run_suite(preset: str, only: set | None = None) -> Dict[str, Any]:
     if parallel is not None and want("parallel"):
         print(f"[perf] parallel_scaling (jobs {parallel['jobs']}) ...", flush=True)
         benchmarks.update(bench_parallel(parallel["jobs"], dict(parallel["sweep"])))
-
-    shared = sizes.get("parallel_shared")
-    if shared is not None and want("parallel_shared"):
-        print(f"[perf] parallel_shared (jobs {shared['jobs']}) ...", flush=True)
-        benchmarks.update(
-            bench_parallel_shared(
-                shared["jobs"],
-                shared["n_nodes"],
-                shared["m"],
-                shared["items"],
-                shared["metrics"],
-            )
-        )
 
     return {
         "schema": 1,
@@ -771,7 +563,7 @@ def main(argv: List[str]) -> int:
         default=None,
         help="comma-separated benchmark families to run "
         "(ringbuild,multitenant,lookup,insert,count,count_faulty,"
-        "count_regstore,count_traced,insert_traced,parallel,parallel_shared)",
+        "count_traced,insert_traced,parallel)",
     )
     args = parser.parse_args(argv)
     only = {part.strip() for part in args.only.split(",") if part.strip()} if args.only else None

@@ -71,14 +71,6 @@ class DHSConfig:
     hash_family_name:
         ``"mixer"`` (splitmix64, default) or ``"md4"`` — the paper's own
         evaluation hash, byte-compatible with RFC 1320.
-    store:
-        Node-store backend.  ``"array"`` (default) keeps immortal bitmap
-        masks in one contiguous :class:`~repro.core.regstore.RegArena`
-        row per ``(metric, bit)`` slot — vectorized bulk writes, fast
-        probe walks, and zero-copy shared-memory parallel counting.
-        ``"packed"`` is the plain per-object :class:`PackedSlot`
-        reference backend; both store bit-identical logical state (see
-        tests/core/test_regstore.py).
     """
 
     key_bits: int = 24
@@ -93,7 +85,6 @@ class DHSConfig:
     ttl: Optional[int] = None
     hash_seed: int = 0
     hash_family_name: str = "mixer"
-    store: str = "array"
     size_model: SizeModel = field(default_factory=SizeModel)
 
     def __post_init__(self) -> None:
@@ -137,10 +128,6 @@ class DHSConfig:
             raise ConfigurationError(
                 f"hash_family_name must be 'mixer' or 'md4', "
                 f"got {self.hash_family_name!r}"
-            )
-        if self.store not in ("array", "packed"):
-            raise ConfigurationError(
-                f"store must be 'array' or 'packed', got {self.store!r}"
             )
 
     @property

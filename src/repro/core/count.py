@@ -25,23 +25,19 @@ against the node's :class:`~repro.core.tuples.PackedSlot` mask.  The
 per-interval random probe keys are drawn up front (one pass over the
 counting RNG per scan), and per-probe node-id recording is gated behind
 ``dht.trace`` — the ``probes``/``unique_probed`` counters stay exact.
+
+There is one probe walk.  Each scan picks its per-probe read once: a
+direct store read when the retry policy, fault layer and read repair
+are all inert, else the policy-wrapped :meth:`Counter._probe_node`.
+Tracing and metering only add spans, events and counters on top; they
+never change which read runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-)
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set
 
 from repro.core.config import DHSConfig
 from repro.core.mapping import BitIntervalMap
@@ -52,20 +48,28 @@ from repro.errors import MessageDropped
 from repro.hashing.family import HashFamily
 from repro.obs import runtime as obs
 from repro.obs.metrics import BUCKETS_BITS, BUCKETS_PROBES, Histogram
-from repro.overlay.dht import DHTProtocol, LookupResult
+from repro.overlay.dht import DHTProtocol
 from repro.overlay.node import Node
 from repro.overlay.replication import replica_chain
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 from repro.sketches.base import HashSketch
 
-if TYPE_CHECKING:  # annotation only — the facade constructs the arena
-    from repro.core.regstore import RegArena
-
 __all__ = ["Counter", "CountResult"]
 
 #: Estimators that scan from the most significant position downwards.
 _DOWNWARD_ESTIMATORS = {"sll", "loglog", "hll"}
+
+#: A per-probe read: ``read(target, metrics, position, now, cost)``
+#: returns metric → bitmap of vectors set at ``position`` on ``target``,
+#: ``None`` when the node is down, or :data:`_LOST` when the probe
+#: message was dropped for good.
+ProbeRead = Callable[
+    [int, List[Hashable], int, int, OpCost], Optional[Dict[Hashable, int]]
+]
+
+#: Sentinel answer of a probe whose message was lost (compared by identity).
+_LOST: Dict[Hashable, int] = {}
 
 
 @dataclass
@@ -120,21 +124,15 @@ class Counter:
         hash_family: HashFamily,
         seed: int = 0,
         policy: RetryPolicy = DEFAULT_POLICY,
-        arena: Optional["RegArena"] = None,
     ) -> None:
         self.dht = dht
         self.config = config
         self.mapping = mapping
         self.hash_family = hash_family
         self.policy = policy
-        #: Register arena of the array store backend (``None`` = packed).
-        self.arena = arena
-        #: Per-scan flag: the current scan may use the inlined
-        #: direct-store probe walk (see :meth:`_run_scan`).
-        self._fast = False
         self._rng = rng_for(seed, "dhs-count")
         # Per-count cached histogram objects (refreshed from the active
-        # registry at each metered count; see _count_many_impl) so the
+        # registry at each metered count; see count_many) so the
         # interval loop skips the registry's name lookup.
         self._hist_probes = Histogram(BUCKETS_PROBES)
         self._hist_bits = Histogram(BUCKETS_BITS)
@@ -178,58 +176,57 @@ class Counter:
             raise ValueError("metric ids must be unique")
         if origin is None:
             origin = self.dht.random_live_node(self._rng)
-        if not obs.TRACING:
-            return self._count_many_impl(metric_ids, origin, now, expected_items)
-        with obs.TRACER.span(
-            "dhs.count", tick=now, metrics=len(metric_ids), origin=origin
-        ) as span:
-            result = self._count_many_impl(metric_ids, origin, now, expected_items)
-            span.set(
-                hops=result.cost.hops,
-                messages=result.cost.messages,
-                probes=result.probes,
-                unique_probed=result.unique_probed,
-                intervals=result.intervals_scanned,
-                exhausted_intervals=result.exhausted_intervals,
-                drops=result.cost.drops,
-                timeouts=result.cost.timeouts,
-                degraded=result.degraded,
+        span = (
+            obs.TRACER.start(
+                "dhs.count", tick=now, metrics=len(metric_ids), origin=origin
             )
-        return result
-
-    def _count_many_impl(
-        self,
-        metric_ids: Sequence[Hashable],
-        origin: int,
-        now: int,
-        expected_items: Optional[float],
-    ) -> CountResult:
-        """The untraced body of :meth:`count_many`."""
-        if obs.METERING:
-            registry = obs.METRICS
-            self._hist_probes = registry.histogram("dhs.count.probes_per_interval")
-            self._hist_bits = registry.histogram("dhs.count.bits_touched")
-        bootstrap_cost: Optional[OpCost] = None
-        if self.config.lim_policy == "eq6" and expected_items is None:
-            bootstrap = self._run_scan(metric_ids, origin, now, expected_items=None,
-                                       force_fixed=True)
-            estimates = [est for est in bootstrap.estimates.values() if est > 0]
-            # The sparsest metric binds the probe budget.
-            expected_items = min(estimates) if estimates else 0.0
-            bootstrap_cost = bootstrap.cost
-        result = self._run_scan(metric_ids, origin, now, expected_items=expected_items)
-        if bootstrap_cost is not None:
-            result.cost.add(bootstrap_cost)
-        result.dropped_messages = result.cost.drops
-        result.degraded = (
-            result.exhausted_intervals > 0
-            or result.cost.drops > 0
-            or result.cost.timeouts > 0
+            if obs.TRACING
+            else None
         )
-        if obs.METERING:
-            obs.METRICS.inc("dhs.count.ops")
-            if result.degraded:
-                obs.METRICS.inc("dhs.count.degraded")
+        try:
+            if obs.METERING:
+                registry = obs.METRICS
+                self._hist_probes = registry.histogram("dhs.count.probes_per_interval")
+                self._hist_bits = registry.histogram("dhs.count.bits_touched")
+            bootstrap_cost: Optional[OpCost] = None
+            if self.config.lim_policy == "eq6" and expected_items is None:
+                bootstrap = self._run_scan(
+                    metric_ids, origin, now, expected_items=None, force_fixed=True
+                )
+                estimates = [est for est in bootstrap.estimates.values() if est > 0]
+                # The sparsest metric binds the probe budget.
+                expected_items = min(estimates) if estimates else 0.0
+                bootstrap_cost = bootstrap.cost
+            result = self._run_scan(
+                metric_ids, origin, now, expected_items=expected_items
+            )
+            if bootstrap_cost is not None:
+                result.cost.add(bootstrap_cost)
+            result.dropped_messages = result.cost.drops
+            result.degraded = (
+                result.exhausted_intervals > 0
+                or result.cost.drops > 0
+                or result.cost.timeouts > 0
+            )
+            if obs.METERING:
+                obs.METRICS.inc("dhs.count.ops")
+                if result.degraded:
+                    obs.METRICS.inc("dhs.count.degraded")
+            if span is not None:
+                span.set(
+                    hops=result.cost.hops,
+                    messages=result.cost.messages,
+                    probes=result.probes,
+                    unique_probed=result.unique_probed,
+                    intervals=result.intervals_scanned,
+                    exhausted_intervals=result.exhausted_intervals,
+                    drops=result.cost.drops,
+                    timeouts=result.cost.timeouts,
+                    degraded=result.degraded,
+                )
+        finally:
+            if span is not None:
+                obs.TRACER.end(span)
         return result
 
     def _run_scan(
@@ -243,22 +240,7 @@ class Counter:
         sketches = {
             metric: self.config.make_sketch(self.hash_family) for metric in metric_ids
         }
-        # The array backend's inlined probe walk: sound only when every
-        # wrapper it skips is provably a no-op — a no-retry policy means
-        # ``policy.call`` is a plain call, no fault layer means lookups
-        # cannot drop messages and ``node_responsive`` is ``is_alive``,
-        # read repair off means probes never write, and tracing/metering
-        # off means no spans or counters would be emitted.  Costs,
-        # RNG draws and results are identical either way (the
-        # equivalence suite pins this against the reference walk).
-        self._fast = (
-            self.arena is not None
-            and self.policy.is_default
-            and self.dht.fault_layer is None
-            and not (self.config.read_repair and self.config.replication > 0)
-            and not obs.TRACING
-            and not obs.METERING
-        )
+        read = self._probe_read()
         adaptive = self.config.lim_policy == "eq6" and not force_fixed
         prior = expected_items if adaptive else None
         # One probe key per interval, drawn up front: a single pass over
@@ -266,13 +248,32 @@ class Counter:
         # scan actually reaches before resolving.
         keys = self._interval_keys()
         if self.config.estimator in _DOWNWARD_ESTIMATORS:
-            result = self._scan_downward(sketches, origin, now, keys, prior)
+            result = self._scan_downward(sketches, origin, now, keys, prior, read)
         else:
-            result = self._scan_upward(sketches, origin, now, keys, prior)
+            result = self._scan_upward(sketches, origin, now, keys, prior, read)
         result.estimates = {
             metric: sketch.estimate() for metric, sketch in sketches.items()
         }
         return result
+
+    def _probe_read(self) -> ProbeRead:
+        """The per-probe read for one scan.
+
+        The direct store read is exact whenever every wrapper it skips
+        is inert: a no-retry policy makes ``policy.call`` a plain call,
+        no fault layer means probes cannot drop and ``node_responsive``
+        is ``is_alive``, and read repair off means probes never write.
+        Costs, RNG draws and results are identical either way
+        (tests/core/test_probe_walk.py pins this).
+        """
+        config = self.config
+        if (
+            self.policy.is_default
+            and self.dht.fault_layer is None
+            and not (config.read_repair and config.replication > 0)
+        ):
+            return self._read_direct
+        return self._probe_node
 
     def _interval_keys(self) -> List[int]:
         """Random probe key for every interval (ascending interval order)."""
@@ -313,7 +314,8 @@ class Counter:
         origin: int,
         now: int,
         keys: Sequence[int],
-        expected_items: Optional[float] = None,
+        expected_items: Optional[float],
+        read: ProbeRead,
     ) -> CountResult:
         config = self.config
         full = (1 << config.num_bitmaps) - 1
@@ -328,7 +330,7 @@ class Counter:
             position = self.mapping.position_for_index(index)
             found = self._probe_interval(
                 index, position, pending, origin, now, result, expected_items,
-                key=keys[index],
+                key=keys[index], read=read,
             )
             for metric, mask in found.items():
                 newly = mask & pending[metric]
@@ -350,7 +352,8 @@ class Counter:
         origin: int,
         now: int,
         keys: Sequence[int],
-        expected_items: Optional[float] = None,
+        expected_items: Optional[float],
+        read: ProbeRead,
     ) -> CountResult:
         config = self.config
         full = (1 << config.num_bitmaps) - 1
@@ -370,7 +373,7 @@ class Counter:
             position = self.mapping.position_for_index(index)
             found = self._probe_interval(
                 index, position, active, origin, now, result, expected_items,
-                key=keys[index],
+                key=keys[index], read=read,
             )
             for metric, mask in active.items():
                 confirmed = mask & found.get(metric, 0)
@@ -395,260 +398,182 @@ class Counter:
         result: CountResult,
         expected_items: Optional[float] = None,
         key: Optional[int] = None,
+        read: Optional[ProbeRead] = None,
     ) -> Dict[Hashable, int]:
         """Probe one interval; ``needed`` maps metric → pending bitmap.
 
         Returns metric → bitmap of vectors found set at ``position``.
+        ``read`` is the scan's per-probe read (chosen here when absent).
+        Under tracing the walk runs inside a ``count.interval`` span.
         """
-        if not obs.TRACING:
-            # Metering (when on) happens inside the impl, where the
-            # probe count and found masks are already locals — the
-            # delta bookkeeping below is only needed for span attrs.
-            return self._probe_interval_impl(
-                index, position, needed, origin, now, result, expected_items, key
+        span = None
+        if obs.TRACING:
+            cost = result.cost
+            before = (
+                result.probes, cost.hops, cost.drops, cost.timeouts,
+                result.exhausted_intervals,
             )
-        cost = result.cost
-        probes_before = result.probes
-        hops_before = cost.hops
-        drops_before = cost.drops
-        timeouts_before = cost.timeouts
-        exhausted_before = result.exhausted_intervals
-        span = obs.TRACER.start(
-            "count.interval", tick=now, index=index, position=position
-        )
-        try:
-            found = self._probe_interval_impl(
-                index, position, needed, origin, now, result, expected_items, key
+            span = obs.TRACER.start(
+                "count.interval", tick=now, index=index, position=position
             )
-        finally:
-            attrs = span.attrs
-            attrs["probes"] = result.probes - probes_before
-            attrs["hops"] = cost.hops - hops_before
-            attrs["drops"] = cost.drops - drops_before
-            attrs["timeouts"] = cost.timeouts - timeouts_before
-            attrs["exhausted"] = result.exhausted_intervals > exhausted_before
-            obs.TRACER.end(span)
-        return found
-
-    def _probe_interval_impl(
-        self,
-        index: int,
-        position: int,
-        needed: Dict[Hashable, int],
-        origin: int,
-        now: int,
-        result: CountResult,
-        expected_items: Optional[float],
-        key: Optional[int],
-    ) -> Dict[Hashable, int]:
-        """The untraced body of :meth:`_probe_interval` (Alg. 1 inner loop)."""
-        event = obs.TRACER.event if obs.TRACING else None
-        config = self.config
-        budget = self._interval_budget(index, expected_items)
-        metrics = [metric for metric, mask in needed.items() if mask]
-        found: Dict[Hashable, int] = {metric: 0 for metric in metrics}
-        if not metrics:
-            if obs.METERING:
-                self._record_interval_metrics(probes_done=0, bits=0)
-            return found
-        result.intervals_scanned += 1
-        if key is None:
-            key = self.mapping.random_key_in_interval(index, self._rng)
-        cost = result.cost
-        fast = self._fast
-        if fast:
-            # No fault layer and a no-retry policy: the lookup cannot
-            # drop, and ``policy.call`` would be a plain call.
-            lookup = self.dht.lookup(key, origin=origin)
-        else:
-            lookup = self._lookup_interval(
-                key, origin, index, position, metrics, needed, found, result,
-                expected_items, now, event,
-            )
-            if lookup is None:
-                return found
-        size_model = config.size_model
-        num_metrics = len(metrics)
-        cost.add(lookup.cost)
-        if event is not None:
-            event(
-                "dht.lookup",
-                tick=now,
-                key=key,
-                node=lookup.node_id,
-                hops=lookup.cost.hops,
-            )
-        cost.bytes += size_model.probe_bytes(
-            request_hops=lookup.cost.hops, tuples_returned=0, metrics=num_metrics
-        )
-
-        repair = config.read_repair and config.replication > 0
-        trace = self.dht.trace
-        visited: Set[int] = set()
-        target = lookup.node_id
-        succ_cursor = pred_cursor = target
-        go_to_succ = True
-        budget_exhausted = False
+        event = obs.TRACER.event if span is not None else None
         probes_done = 0
-        for attempt in range(budget):
-            if attempt > 0:
-                cost.bytes += size_model.probe_bytes(
-                    request_hops=1, tuples_returned=0, metrics=num_metrics
+        found: Dict[Hashable, int] = {}
+        try:
+            metrics = [metric for metric, mask in needed.items() if mask]
+            found = {metric: 0 for metric in metrics}
+            if not metrics:
+                return found
+            result.intervals_scanned += 1
+            probe_key = (
+                self.mapping.random_key_in_interval(index, self._rng)
+                if key is None
+                else key
+            )
+            if read is None:
+                read = self._probe_read()
+            cost = result.cost
+            config = self.config
+            size_model = config.size_model
+            num_metrics = len(metrics)
+            try:
+                lookup = self.policy.call(
+                    lambda: self.dht.lookup(probe_key, origin=origin), self._rng, cost
                 )
-            visited.add(target)
-            result.probes += 1
-            probes_done += 1
-            result.probed_ids.add(target)
-            if trace:
-                result.probed_nodes.append(target)
-            if fast:
-                # Inlined probe: same semantics as the reference branch
-                # below with every provably-no-op wrapper peeled away —
-                # ``policy.call`` (no-retry policy), ``dht.probe``'s
-                # callback indirection, and the per-metric dict build.
-                node = self.dht.live_node(target)
-                if node is not None:
-                    self.dht.load.record(target)
-                    store = node.store
-                    returned = 0
-                    for metric in metrics:
-                        slot = store.get((metric, position))
-                        if isinstance(slot, PackedSlot):
-                            mask = slot.live_mask(now)
-                            if mask:
-                                returned += mask.bit_count()
-                                found[metric] |= mask
-                    cost.bytes += returned * size_model.tuple_bytes
-                else:
+            except MessageDropped:
+                # Every lookup attempt was dropped: the interval is
+                # unreachable this scan.  Zero probes happened, so every
+                # pending metric takes the full zero-probe eq. 5 hit.
+                if event is not None:
+                    event("count.unreachable", tick=now, index=index)
+                self._charge_exhaustion(
+                    index, position, metrics, needed, found, result,
+                    expected_items, probes_done=0,
+                )
+                return found
+            cost.add(lookup.cost)
+            if event is not None:
+                event(
+                    "dht.lookup",
+                    tick=now,
+                    key=probe_key,
+                    node=lookup.node_id,
+                    hops=lookup.cost.hops,
+                )
+            cost.bytes += size_model.probe_bytes(
+                request_hops=lookup.cost.hops, tuples_returned=0, metrics=num_metrics
+            )
+            step_bytes = size_model.probe_bytes(
+                request_hops=1, tuples_returned=0, metrics=num_metrics
+            )
+            tuple_bytes = size_model.tuple_bytes
+            budget = self._interval_budget(index, expected_items)
+            repair = config.read_repair and config.replication > 0
+            trace = self.dht.trace
+            visited: Set[int] = set()
+            target = lookup.node_id
+            succ_cursor = pred_cursor = target
+            go_to_succ = True
+            budget_exhausted = False
+            for attempt in range(budget):
+                if attempt > 0:
+                    cost.bytes += step_bytes
+                visited.add(target)
+                result.probes += 1
+                probes_done += 1
+                result.probed_ids.add(target)
+                if trace:
+                    result.probed_nodes.append(target)
+                masks = read(target, metrics, position, now, cost)
+                if masks is None:
+                    # Timed-out probe of a crashed (or transiently down)
+                    # node — Alg. 1's failure case.  The walk hop was
+                    # already paid; record the timeout and walk on.
+                    # Transient nodes are not evicted (the fault layer
+                    # vetoes it).
                     cost.timeouts += 1
                     self.dht.timeout_repair(target)
-            elif self.dht.node_responsive(target):
-                masks = self._probe_node(target, metrics, position, now, cost)
-                if masks is not None:
+                    if event is not None:
+                        event("probe", tick=now, node=target, ok=False, timeout=True)
+                elif masks is _LOST:
+                    if event is not None:
+                        event("probe", tick=now, node=target, ok=False, lost=True)
+                else:
                     returned = 0
                     for metric, mask in masks.items():
-                        returned += mask.bit_count()
-                        found[metric] |= mask
-                    cost.bytes += returned * size_model.tuple_bytes
+                        if mask:
+                            returned += mask.bit_count()
+                            found[metric] |= mask
+                    cost.bytes += returned * tuple_bytes
                     if repair and returned:
                         self._read_repair(target, metrics, masks, position, now, cost)
                     if event is not None:
-                        event(
-                            "probe", tick=now, node=target, ok=True, bits=returned
-                        )
-                elif event is not None:
-                    event(
-                        "probe", tick=now, node=target, ok=False, lost=True
-                    )
-            else:
-                # Timed-out probe of a crashed (or transiently down)
-                # node — Alg. 1's failure case.  The walk hop was already
-                # paid; record the timeout and walk on.  Transient nodes
-                # are not evicted (the fault layer vetoes it).
-                cost.timeouts += 1
-                self.dht.timeout_repair(target)
-                if event is not None:
-                    event(
-                        "probe", tick=now, node=target, ok=False, timeout=True
-                    )
-            if all(not (needed[metric] & ~found[metric]) for metric in metrics):
-                break
-            if attempt + 1 == budget:
-                # Budget exhausted: the walk ends here, so don't pay a
-                # hop for a neighbour that is never contacted.
-                budget_exhausted = True
-                break
-            # Pick the next probe target: successors first, then switch
-            # to predecessors once the interval's upper end is reached.
-            # The successor walk is allowed one node beyond the interval:
-            # keys above the last in-interval node are owned by the next
-            # node on the ring, so that "overflow" node can hold tuples
-            # of this interval too.
-            next_target = None
-            if go_to_succ and not self.mapping.contains(index, succ_cursor):
-                # The walk already sits on the overflow owner (or the
-                # lookup landed there directly): nothing further up.
-                go_to_succ = False
-            if go_to_succ:
-                candidate = self.dht.successor_id(succ_cursor)
-                if candidate in visited:
+                        event("probe", tick=now, node=target, ok=True, bits=returned)
+                if all(not (needed[metric] & ~found[metric]) for metric in metrics):
+                    break
+                if attempt + 1 == budget:
+                    # Budget exhausted: the walk ends here, so don't pay a
+                    # hop for a neighbour that is never contacted.
+                    budget_exhausted = True
+                    break
+                # Pick the next probe target: successors first, then
+                # switch to predecessors once the interval's upper end is
+                # reached.  The successor walk is allowed one node beyond
+                # the interval: keys above the last in-interval node are
+                # owned by the next node on the ring, so that "overflow"
+                # node can hold tuples of this interval too.
+                next_target = None
+                if go_to_succ and not self.mapping.contains(index, succ_cursor):
+                    # The walk already sits on the overflow owner (or the
+                    # lookup landed there directly): nothing further up.
                     go_to_succ = False
-                elif self.mapping.contains(index, candidate):
-                    succ_cursor = next_target = candidate
-                else:
-                    next_target = candidate  # the one overflow owner
-                    succ_cursor = candidate
-                    go_to_succ = False
-            if next_target is None:
-                candidate = self.dht.predecessor_id(pred_cursor)
-                if self.mapping.contains(index, candidate) and candidate not in visited:
-                    pred_cursor = next_target = candidate
-                else:
-                    break  # interval exhausted in both directions
-            target = next_target
-            cost.hops += 1
-            cost.messages += 1
-            if trace:
-                cost.nodes_visited.append(target)
-        if budget_exhausted:
-            self._charge_exhaustion(
-                index, position, metrics, needed, found, result,
-                expected_items, probes_done=probes_done,
-            )
-        if obs.METERING:
-            # Inlined histogram records against the per-count cached
-            # objects (refreshed in _count_many_impl) — this runs once
-            # per interval on the count hot path.
-            hist = self._hist_probes
-            hist.counts[bisect_left(hist.bounds, probes_done)] += 1
-            hist.total += probes_done
-            hist.count += 1
-            bits = sum(map(int.bit_count, found.values()))
-            hist = self._hist_bits
-            hist.counts[bisect_left(hist.bounds, bits)] += 1
-            hist.total += bits
-            hist.count += 1
-        return found
-
-    def _lookup_interval(
-        self,
-        key: int,
-        origin: int,
-        index: int,
-        position: int,
-        metrics: List[Hashable],
-        needed: Dict[Hashable, int],
-        found: Dict[Hashable, int],
-        result: CountResult,
-        expected_items: Optional[float],
-        now: int,
-        event: Optional[Callable[..., Any]],
-    ) -> Optional[LookupResult]:
-        """Route to the interval under the retry policy.
-
-        Returns ``None`` when every lookup attempt was dropped — the
-        interval is unreachable this scan: zero probes happened, so
-        confidence in every still-pending metric takes the full
-        zero-probe eq. 5 hit (already charged here).
-        """
-        try:
-            return self.policy.call(
-                lambda: self.dht.lookup(key, origin=origin), self._rng, result.cost
-            )
-        except MessageDropped:
-            if event is not None:
-                event("count.unreachable", tick=now, index=index)
-            self._charge_exhaustion(
-                index, position, metrics, needed, found, result,
-                expected_items, probes_done=0,
-            )
+                if go_to_succ:
+                    candidate = self.dht.successor_id(succ_cursor)
+                    if candidate in visited:
+                        go_to_succ = False
+                    elif self.mapping.contains(index, candidate):
+                        succ_cursor = next_target = candidate
+                    else:
+                        next_target = candidate  # the one overflow owner
+                        succ_cursor = candidate
+                        go_to_succ = False
+                if next_target is None:
+                    candidate = self.dht.predecessor_id(pred_cursor)
+                    if (
+                        self.mapping.contains(index, candidate)
+                        and candidate not in visited
+                    ):
+                        pred_cursor = next_target = candidate
+                    else:
+                        break  # interval exhausted in both directions
+                target = next_target
+                cost.hops += 1
+                cost.messages += 1
+                if trace:
+                    cost.nodes_visited.append(target)
+            if budget_exhausted:
+                self._charge_exhaustion(
+                    index, position, metrics, needed, found, result,
+                    expected_items, probes_done=probes_done,
+                )
+            return found
+        finally:
             if obs.METERING:
-                self._record_interval_metrics(probes_done=0, bits=0)
-            return None
+                self._record_interval_metrics(
+                    probes_done, sum(map(int.bit_count, found.values()))
+                )
+            if span is not None:
+                cost = result.cost
+                attrs = span.attrs
+                attrs["probes"] = result.probes - before[0]
+                attrs["hops"] = cost.hops - before[1]
+                attrs["drops"] = cost.drops - before[2]
+                attrs["timeouts"] = cost.timeouts - before[3]
+                attrs["exhausted"] = result.exhausted_intervals > before[4]
+                obs.TRACER.end(span)
 
     def _record_interval_metrics(self, probes_done: int, bits: int) -> None:
-        """Record one interval's probe/bit observations (cold paths only;
-        the normal exit of :meth:`_probe_interval_impl` inlines this)."""
+        """Record one interval's probe/bit observations."""
         hist = self._hist_probes
         hist.counts[bisect_left(hist.bounds, probes_done)] += 1
         hist.total += probes_done
@@ -658,6 +583,34 @@ class Counter:
         hist.total += bits
         hist.count += 1
 
+    def _read_direct(
+        self,
+        target: int,
+        metrics: List[Hashable],
+        position: int,
+        now: int,
+        cost: OpCost,
+    ) -> Optional[Dict[Hashable, int]]:
+        """Read ``target``'s slots straight from its store.
+
+        Charges the node load and the ``dht.probes`` counter exactly as
+        :meth:`~repro.overlay.dht.DHTProtocol.probe` does, so metric
+        snapshots match the wrapped read.  ``None`` when ``target`` is
+        down.  ``cost`` is unused: nothing on this path can drop or retry.
+        """
+        node = self.dht.live_node(target)
+        if node is None:
+            return None
+        self.dht.load.record(target)
+        if obs.METERING:
+            obs.METRICS.inc("dht.probes")
+        store = node.store
+        masks: Dict[Hashable, int] = {}
+        for metric in metrics:
+            slot = store.get((metric, position))
+            masks[metric] = slot.live_mask(now) if isinstance(slot, PackedSlot) else 0
+        return masks
+
     def _probe_node(
         self,
         target: int,
@@ -666,12 +619,14 @@ class Counter:
         now: int,
         cost: OpCost,
     ) -> Optional[Dict[Hashable, int]]:
-        """Probe one node under the retry policy.
+        """Probe one node under the retry policy and fault layer.
 
-        Returns metric → bitmap of vectors set at ``position``, or
-        ``None`` when the probe message was permanently lost (the loss
-        is already charged into ``cost`` by the policy).
+        ``None`` when ``target`` does not answer (crashed or transiently
+        down); :data:`_LOST` when the probe message was permanently lost
+        (the loss is already charged into ``cost`` by the policy).
         """
+        if not self.dht.node_responsive(target):
+            return None
 
         def read(node: Node) -> Dict[Hashable, int]:
             return {
@@ -684,7 +639,7 @@ class Counter:
                 lambda: self.dht.probe(target, read), self._rng, cost
             )
         except MessageDropped:
-            return None
+            return _LOST
         return masks
 
     def _read_repair(
@@ -723,9 +678,7 @@ class Counter:
                     if isinstance(slot, PackedSlot) and not (slot.mask >> vector) & 1:
                         raw = (slot.expiring or {}).get(vector)
                         expiry = int(raw) if raw is not None else None
-                    write_entry(
-                        replica, metric, vector, position, expiry, arena=self.arena
-                    )
+                    write_entry(replica, metric, vector, position, expiry)
                     wrote += 1
             if wrote:
                 cost.hops += 1

@@ -14,7 +14,7 @@ round, one per interval, instead of one per item.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -34,9 +34,6 @@ from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 from repro.sketches.base import split_key
 
-if TYPE_CHECKING:  # annotation only — the facade constructs the arena
-    from repro.core.regstore import RegArena
-
 __all__ = ["Inserter"]
 
 
@@ -51,15 +48,12 @@ class Inserter:
         hash_family: HashFamily,
         seed: int = 0,
         policy: RetryPolicy = DEFAULT_POLICY,
-        arena: Optional["RegArena"] = None,
     ) -> None:
         self.dht = dht
         self.config = config
         self.mapping = mapping
         self.hash_family = hash_family
         self.policy = policy
-        #: Register arena backing fresh slots (``None`` = packed backend).
-        self.arena = arena
         self._rng = rng_for(seed, "dhs-insert")
 
     # ------------------------------------------------------------------
@@ -238,10 +232,9 @@ class Inserter:
         """Immortal-write twin of :meth:`insert_observation_arrays`.
 
         Dedups the observations with one boolean scatter (no sort),
-        packs each position's distinct vectors into register words with
+        packs each position's distinct vectors into bytes with
         ``np.packbits``, and stores one *bitmap* per non-empty interval
-        via :func:`repro.core.tuples.write_entry_mask` — on the array
-        backend the node-side fold is a single vectorized word-OR.
+        via :func:`repro.core.tuples.write_entry_mask`.
         Same ascending-interval order, same per-interval random key
         draws, and the payload still counts one tuple per distinct
         ``(vector, position)`` pair, so costs and stored state are
@@ -255,20 +248,13 @@ class Inserter:
         grid[positions * m + vectors] = True
         grid = grid.reshape(n_pos, m)
         packed = np.packbits(grid, axis=1, bitorder="little")
-        words = (m + 63) // 64
-        rows8 = np.zeros((n_pos, words * 8), dtype=np.uint8)
-        rows8[:, : packed.shape[1]] = packed
-        rows = rows8.view(np.uint64)
         pos_seen = np.zeros(n_pos, dtype=bool)
         pos_seen[positions] = True
         total = OpCost()
         for position in np.flatnonzero(pos_seen).tolist():
             index = self.mapping.interval_index(position)
-            delta = rows[position]
-            mask = int.from_bytes(delta.tobytes(), "little")
-            total.add(
-                self._store_mask(index, metric_id, position, mask, delta, origin, now)
-            )
+            mask = int.from_bytes(packed[position].tobytes(), "little")
+            total.add(self._store_mask(index, metric_id, position, mask, origin, now))
         return total
 
     def _store_mask(
@@ -277,15 +263,13 @@ class Inserter:
         metric_id: Hashable,
         position: int,
         mask: int,
-        delta: npt.NDArray[np.uint64],
         origin: Optional[int],
         now: int,
     ) -> OpCost:
         """Store one interval's deduplicated vector bitmap."""
-        arena = self.arena
 
         def write(node: Node) -> None:
-            write_entry_mask(node, metric_id, position, mask, delta=delta, arena=arena)
+            write_entry_mask(node, metric_id, position, mask)
 
         return self._store_write(index, write, mask.bit_count(), origin, now)
 
@@ -322,11 +306,10 @@ class Inserter:
         now: int,
     ) -> OpCost:
         expiry = self.config.expiry(now)
-        arena = self.arena
 
         def write(node: Node) -> None:
             for metric_id, vector, position in tuples:
-                write_entry(node, metric_id, vector, position, expiry, arena=arena)
+                write_entry(node, metric_id, vector, position, expiry)
 
         return self._store_write(index, write, len(tuples), origin, now)
 
@@ -338,76 +321,70 @@ class Inserter:
         origin: Optional[int],
         now: int,
     ) -> OpCost:
-        if not obs.TRACING and not obs.METERING:
-            return self._store_write_impl(index, write, count, origin, now)
-        if not obs.TRACING:
-            cost = self._store_write_impl(index, write, count, origin, now)
-            self._meter_store(count, cost)
-            return cost
-        with obs.TRACER.span(
-            "insert.store", tick=now, interval=index, tuples=count
-        ) as span:
-            cost = self._store_write_impl(index, write, count, origin, now)
-            span.set(
-                hops=cost.hops,
-                messages=cost.messages,
-                drops=cost.drops,
-                timeouts=cost.timeouts,
-            )
-        if obs.METERING:
-            self._meter_store(count, cost)
-        return cost
+        """Route one interval's tuples to a random in-interval key.
 
-    def _meter_store(self, count: int, cost: OpCost) -> None:
-        obs.METRICS.inc("dhs.insert.stores")
-        obs.METRICS.inc("dhs.insert.tuples", count)
-        obs.METRICS.observe("dhs.insert.store_hops", cost.hops)
-
-    def _store_write_impl(
-        self,
-        index: int,
-        write: Callable[[Node], None],
-        count: int,
-        origin: Optional[int],
-        now: int,
-    ) -> OpCost:
-        key = self.mapping.random_key_in_interval(index, self._rng)
-        loss_cost = OpCost()
+        The owner applies ``write``, then its successor replicas do.
+        Tracing wraps the store in an ``insert.store`` span and metering
+        counts it; neither changes what is written or charged.
+        """
+        span = (
+            obs.TRACER.start("insert.store", tick=now, interval=index, tuples=count)
+            if obs.TRACING
+            else None
+        )
         try:
-            storing_node, cost = self.policy.call(
-                lambda: self.dht.store(
-                    key,
-                    write,
-                    origin=origin,
-                    payload_bytes=count * self.config.size_model.tuple_bytes,
-                ),
-                self._rng,
-                loss_cost,
-            )
-        except MessageDropped:
-            # The write is lost for good: the tuples were never stored.
-            # Soft-state refresh (or read-repair) re-creates them later;
-            # the timeout/backoff accounting survives in the cost.
-            if obs.TRACING:
-                obs.TRACER.event("insert.lost", tick=now, interval=index)
-            return loss_cost
-        cost.add(loss_cost)
-        if obs.TRACING:
-            obs.TRACER.event(
-                "dht.store", tick=now, key=key, node=storing_node, hops=cost.hops
-            )
-        if self.config.replication > 0:
-            extra = replicate_to_successors(
-                self.dht,
-                storing_node,
-                write,
-                degree=self.config.replication,
-                payload_bytes=count * self.config.size_model.tuple_bytes,
-            )
-            if extra is not None:
-                cost.add(extra)
-                if obs.TRACING:
+            key = self.mapping.random_key_in_interval(index, self._rng)
+            payload_bytes = count * self.config.size_model.tuple_bytes
+            cost = OpCost()
+            try:
+                storing_node, stored = self.policy.call(
+                    lambda: self.dht.store(
+                        key, write, origin=origin, payload_bytes=payload_bytes
+                    ),
+                    self._rng,
+                    cost,
+                )
+            except MessageDropped:
+                # The write is lost for good: the tuples were never stored.
+                # Soft-state refresh (or read-repair) re-creates them later;
+                # the timeout/backoff accounting survives in the cost.
+                if span is not None:
+                    obs.TRACER.event("insert.lost", tick=now, interval=index)
+            else:
+                stored.add(cost)
+                cost = stored
+                if span is not None:
                     obs.TRACER.event(
-                        "replicate", tick=now, node=storing_node, hops=extra.hops
+                        "dht.store", tick=now, key=key, node=storing_node,
+                        hops=cost.hops,
                     )
+                if self.config.replication > 0:
+                    extra = replicate_to_successors(
+                        self.dht,
+                        storing_node,
+                        write,
+                        degree=self.config.replication,
+                        payload_bytes=payload_bytes,
+                    )
+                    if extra is not None:
+                        cost.add(extra)
+                        if span is not None:
+                            obs.TRACER.event(
+                                "replicate", tick=now, node=storing_node,
+                                hops=extra.hops,
+                            )
+            if span is not None:
+                span.set(
+                    hops=cost.hops,
+                    messages=cost.messages,
+                    drops=cost.drops,
+                    timeouts=cost.timeouts,
+                )
+        finally:
+            if span is not None:
+                obs.TRACER.end(span)
+        if obs.METERING:
+            obs.METRICS.inc("dhs.insert.stores")
+            obs.METRICS.inc("dhs.insert.tuples", count)
+            obs.METRICS.observe("dhs.insert.store_hops", cost.hops)
         return cost

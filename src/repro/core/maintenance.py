@@ -32,13 +32,11 @@ from repro.core.tuples import PackedSlot, bits_of, purge_expired, write_entry
 from repro.overlay.antientropy import AntiEntropyStats, antientropy_round
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.messages import DEFAULT_SIZE_MODEL, SizeModel
-from repro.overlay.node import Node
 from repro.overlay.replication import live_predecessors, replica_chain
 from repro.overlay.stats import OpCost
 from repro.sim.seeds import rng_for
 
 if TYPE_CHECKING:  # annotation only — the facade imports this module
-    from repro.core.regstore import RegArena
     import random
 
     from repro.core.dhs import DistributedHashSketch
@@ -174,11 +172,8 @@ def _handoff_to_interval(
             )
             missing = live & ~have
             for vector in bits_of(missing):
-                # Copies inherit the source slot's backend: a RegSlot
-                # source hands its arena along, a PackedSlot passes None.
                 write_entry(
-                    pred_node, metric, vector, bit, _entry_expiry(slot, vector),
-                    arena=getattr(slot, "arena", None),
+                    pred_node, metric, vector, bit, _entry_expiry(slot, vector)
                 )
                 wrote += 1
         if wrote:
@@ -262,8 +257,7 @@ def stabilize(
                 missing = primary & ~have
                 for vector in bits_of(missing):
                     write_entry(
-                        replica, metric, vector, bit, _entry_expiry(slot, vector),
-                        arena=getattr(slot, "arena", None),
+                        replica, metric, vector, bit, _entry_expiry(slot, vector)
                     )
                     wrote += 1
             if wrote:
@@ -282,7 +276,6 @@ def antientropy_sweep(
     *,
     mapping: BitIntervalMap,
     size_model: Optional[SizeModel] = None,
-    arena: Optional["RegArena"] = None,
     sample: Optional[int] = None,
     rng: Optional["random.Random"] = None,
 ) -> AntiEntropyStats:
@@ -291,10 +284,10 @@ def antientropy_sweep(
     This is the core-side glue for
     :func:`repro.overlay.antientropy.antientropy_round`: the overlay
     module cannot import the interval geometry or the store writer
-    (layering), so both are injected here as closures — walk visibility
+    (layering), so both are injected here as callables — walk visibility
     uses the same in-interval-or-overflow-owner rule as
     :func:`_handoff_to_interval`, segments are the bit→interval mapping,
-    and writes land on the deployment's storage backend via ``arena``.
+    and writes go through :func:`~repro.core.tuples.write_entry`.
     A no-op (empty stats) when replication is disabled: with no chains
     there is nothing to reconcile, and pushing copies would manufacture
     replication the configuration never asked for.
@@ -315,11 +308,6 @@ def antientropy_sweep(
     def segment_of(bit: int) -> int:
         return mapping.interval_index(bit) if mapping.is_stored(bit) else -1
 
-    def write_fn(
-        node: Node, metric: Hashable, vector: int, bit: int, expiry: Optional[int]
-    ) -> None:
-        write_entry(node, metric, vector, bit, expiry, arena=arena)
-
     return antientropy_round(
         dht,
         replication,
@@ -327,7 +315,7 @@ def antientropy_sweep(
         model=model,
         visible=visible,
         segment_of=segment_of,
-        write_fn=write_fn,
+        write_fn=write_entry,
         rng=rng,
         sample=sample,
     )

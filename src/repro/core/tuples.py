@@ -11,35 +11,17 @@ never-expiring case, instead of a per-vector dict walk.  A node stores at
 most one entry per (metric, vector, bit): re-insertions only refresh the
 expiry, and an immortal entry dominates any TTL.
 
-Two storage backends share this slot interface
-(``DHSConfig(store=...)``):
-
-* ``"packed"`` — plain :class:`PackedSlot` objects, the reference
-  implementation;
-* ``"array"`` — :class:`~repro.core.regstore.RegSlot` subclasses whose
-  immortal bitmap lives in a contiguous
-  :class:`~repro.core.regstore.RegArena` row, enabling vectorized bulk
-  writes and zero-copy shared-memory parallelism.
-
-Every function here accepts either slot type; passing an ``arena``
-selects which one a fresh slot becomes.  Node stores also carry an
-incrementally-maintained entry count (``Node.app_entries``) so
-:func:`storage_entries` — hit once per node per load-balance snapshot —
-is O(1) instead of a full store scan; bulk merges mark the count stale
-and the next query rescans once.
+Node stores also carry an incrementally-maintained entry count
+(``Node.app_entries``) so :func:`storage_entries` — hit once per node
+per load-balance snapshot — is O(1) instead of a full store scan; bulk
+merges mark the count stale and the next query rescans once.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, NamedTuple, Optional
-
-import numpy as np
-import numpy.typing as npt
+from typing import Dict, Hashable, List, NamedTuple, Optional
 
 from repro.overlay.node import Node, StoreValue
-
-if TYPE_CHECKING:  # imported for annotations only — no runtime cycle
-    from repro.core.regstore import RegArena
 
 __all__ = [
     "DHSTuple",
@@ -112,13 +94,6 @@ class PackedSlot:
         self.expiring = expiring if expiring else None
         self._recompute_ttl_cache()
 
-    def or_mask(
-        self, add_mask: int, delta: Optional["npt.NDArray[np.uint64]"] = None
-    ) -> None:
-        """Fold a whole immortal bitmap in (``delta`` ignored here;
-        :class:`~repro.core.regstore.RegSlot` uses it for the row OR)."""
-        self.mask |= add_mask
-
     def live_mask(self, now: int) -> int:
         """Bitmap of vectors alive at time ``now`` (immortal + unexpired)."""
         expiring = self.expiring
@@ -166,15 +141,13 @@ def _live(expiry: float, now: int) -> bool:
     return expiry >= now
 
 
-def _slot_for(
-    node: Node, metric_id: Hashable, bit: int, arena: Optional["RegArena"]
-) -> PackedSlot:
-    """The slot for ``(metric_id, bit)``, created on the chosen backend."""
+def _slot_for(node: Node, metric_id: Hashable, bit: int) -> PackedSlot:
+    """The slot for ``(metric_id, bit)``, created empty on first write."""
     key = (metric_id, bit)
     raw = node.store.get(key)
     if isinstance(raw, PackedSlot):
         return raw
-    slot = PackedSlot() if arena is None else arena.new_slot()
+    slot = PackedSlot()
     node.store[key] = slot
     return slot
 
@@ -185,15 +158,9 @@ def write_entry(
     vector_id: int,
     bit: int,
     expiry: Optional[int],
-    arena: Optional["RegArena"] = None,
 ) -> None:
-    """Record (or refresh) one DHS entry at ``node``.
-
-    ``arena`` selects the storage backend for freshly-created slots
-    (``None`` = plain :class:`PackedSlot`); existing slots keep their
-    backend either way.
-    """
-    slot = _slot_for(node, metric_id, bit, arena)
+    """Record (or refresh) one DHS entry at ``node``."""
+    slot = _slot_for(node, metric_id, bit)
     vector_bit = 1 << vector_id
     if expiry is None:
         # Immortal: fold into the mask; it dominates any pending TTL.
@@ -230,19 +197,15 @@ def write_entry_mask(
     metric_id: Hashable,
     bit: int,
     add_mask: int,
-    delta: Optional["npt.NDArray[np.uint64]"] = None,
-    arena: Optional["RegArena"] = None,
 ) -> None:
     """Fold a whole immortal vector bitmap into one ``(metric, bit)`` slot.
 
     Equivalent to ``write_entry(node, metric_id, v, bit, None)`` for
     every set bit ``v`` of ``add_mask``, in one operation: the bulk
     insertion path writes an interval's deduplicated vector set with a
-    single mask OR (and, on the array backend, a single vectorized word
-    OR of the pre-packed ``delta`` row) instead of up to ``m`` per-vector
-    store writes.
+    single mask OR instead of up to ``m`` per-vector store writes.
     """
-    slot = _slot_for(node, metric_id, bit, arena)
+    slot = _slot_for(node, metric_id, bit)
     new_bits = add_mask & ~slot.mask
     if not new_bits:
         return
@@ -252,7 +215,7 @@ def write_entry_mask(
         for vector in bits_of(new_bits & slot._ttl_or):
             if expiring.pop(vector, None) is not None:
                 promoted += 1
-    slot.or_mask(add_mask, delta)
+    slot.mask |= add_mask
     node.app_entries += new_bits.bit_count() - promoted
 
 
@@ -276,9 +239,7 @@ def merge_store_values(
 
     Packed slots merge mask-wise (union of immortal vectors, max-wins on
     TTL'd expiries, immortality dominating) and the merge is folded into
-    ``incoming`` in place — for an array-backed
-    :class:`~repro.core.regstore.RegSlot` that moves the leaver's arena
-    row to the heir zero-copy.  Plain ``{vector: expiry}`` dicts — the
+    ``incoming`` in place.  Plain ``{vector: expiry}`` dicts — the
     pre-packed layout — still merge max-wins so mixed-era stores and the
     reference implementation keep working.
     """

@@ -14,11 +14,10 @@ state: one leaf per ``(metric, bit)`` slot, leaves grouped into
 mapping) whose digests roll up into a single node root.  A converged
 pair exchanges two roots and stops — the steady-state bandwidth floor
 is ``2 * SizeModel.digest_bytes`` per pair — and only mismatched
-segments degrade to shipping their state as tuples.  On the ``"array"``
-backend the leaf bytes come out of the register arena in one vectorized
-row gather (:meth:`~repro.core.regstore.RegArena.rows_canonical`); the
-packed backend encodes its Python-int bitmaps to the identical
-canonical form, so digests are storage-layout independent.
+segments degrade to shipping their state as tuples.  A leaf hashes the
+slot's bitmap in one canonical form (little-endian bytes, no trailing
+zeros), so two stores with the same live bits digest identically however
+their slots were written.
 
 Reconciliation between a node ``X`` and a chain peer ``S`` is two
 asymmetric directions, chosen so repeated rounds converge without
@@ -39,8 +38,7 @@ core DHS machinery, so slots are duck-typed (:class:`RegisterSlot`) and
 the interval geometry (``segment_of``, ``visible``) plus the store
 writer arrive as callables injected by
 :func:`repro.core.maintenance.antientropy_sweep`.  Digest computation
-over arenas is confined *here* by dhslint rule DHS1001 — the mirror of
-DHS901's shared-memory confinement.
+over register state is confined *here* by dhslint rule DHS1001.
 """
 
 from __future__ import annotations
@@ -85,10 +83,10 @@ _DIGEST_SIZE = 16
 
 
 class RegisterSlot(Protocol):
-    """Duck type of a DHS register slot (``PackedSlot`` / ``RegSlot``).
+    """Duck type of a DHS register slot (:class:`~repro.core.tuples.PackedSlot`).
 
-    The overlay never imports the core slot classes (layering); it only
-    relies on this surface, which both backends provide.
+    The overlay never imports the core slot class (layering); it only
+    relies on this surface.
     """
 
     mask: int
@@ -151,11 +149,7 @@ def _dhs_slots(node: Node) -> Iterator[Tuple[SlotKey, RegisterSlot]]:
 
 
 def _canonical(mask: int) -> bytes:
-    """Canonical bitmap bytes: little-endian, no trailing zeros.
-
-    Matches :meth:`repro.core.regstore.RegArena.rows_canonical` exactly,
-    which is what makes digests backend-independent.
-    """
+    """Canonical bitmap bytes: little-endian, no trailing zeros."""
     return mask.to_bytes((mask.bit_length() + 7) // 8, "little")
 
 
@@ -200,30 +194,12 @@ def store_digest(node: Node, now: int, segment_of: SegmentFn) -> DigestTree:
     """Digest tree over ``node``'s full live register state.
 
     Two stores hold bit-identical live state iff their roots agree.
-    Arena-backed TTL-free slots take the vectorized path: their rows are
-    gathered out of the register matrix in one fancy-index slice per
-    arena instead of round-tripping each bitmap through a Python int.
     """
     leaves: Dict[int, List[Tuple[bytes, bytes]]] = {}
-    arena_groups: Dict[int, Tuple[object, List[int], List[Tuple[int, SlotKey]]]] = {}
     for key, slot in _dhs_slots(node):
-        segment = segment_of(key[1])
-        arena = getattr(slot, "arena", None)
-        if arena is not None and not slot.expiring:
-            group = arena_groups.setdefault(id(arena), (arena, [], []))
-            group[1].append(cast(int, getattr(slot, "row")))
-            group[2].append((segment, key))
-            continue
-        ttl_items = _live_ttl_items(slot, now)
-        leaves.setdefault(segment, []).append(
-            _leaf(key, _canonical(slot.mask), ttl_items)
+        leaves.setdefault(segment_of(key[1]), []).append(
+            _leaf(key, _canonical(slot.mask), _live_ttl_items(slot, now))
         )
-    for arena, rows, metas in arena_groups.values():
-        row_bytes = cast(
-            List[bytes], getattr(arena, "rows_canonical")(rows)
-        )
-        for mask_bytes, (segment, key) in zip(row_bytes, metas):
-            leaves.setdefault(segment, []).append(_leaf(key, mask_bytes, ()))
     return _rollup(leaves)
 
 

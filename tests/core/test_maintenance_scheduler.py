@@ -42,14 +42,13 @@ def make_dhs(replication=2, ttl=None, n_nodes=24, plan=None, seed=5, **kwargs):
 
 
 class TestRefreshArrayLane:
-    @pytest.mark.parametrize("store", ["packed", "array"])
-    def test_ndarray_refresh_bit_identical_to_bulk(self, store):
+    def test_ndarray_refresh_bit_identical_to_bulk(self):
         """Satellite 1: the ndarray fast path must change nothing but speed."""
         items = np.arange(500, dtype=np.int64)
         states = {}
         costs = {}
         for lane in ("bulk", "array"):
-            _, dhs = make_dhs(store=store)
+            _, dhs = make_dhs()
             dhs.insert_bulk("docs", items.tolist(), origin=None, now=0)
             payload = items.tolist() if lane == "bulk" else items
             costs[lane] = dhs.refresh("docs", payload, now=3)

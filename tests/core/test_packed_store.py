@@ -6,14 +6,21 @@ dict for TTL'd entries.  These tests drive the packed implementation and
 an obviously-correct ``{(metric, bit): {vector: expiry}}`` dict model
 through the same operation sequences — including TTL expiry, refresh
 (max-wins), and immortality dominating TTL — and require identical
-observable behaviour at every step.
+observable behaviour at every step.  The store's bookkeeping shortcuts
+(the O(1) ``storage_entries`` count, the ``live_mask`` TTL
+short-circuit) are pinned at the end.
 """
 
+import dataclasses
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import DHSConfig
+from repro.core.dhs import DistributedHashSketch
 from repro.core.tuples import (
     PackedSlot,
     bits_of,
@@ -24,6 +31,7 @@ from repro.core.tuples import (
     vectors_mask,
     write_entry,
 )
+from repro.overlay.chord import ChordRing
 from repro.overlay.node import Node
 
 METRICS = ("docs", "users")
@@ -224,3 +232,104 @@ class TestMergeStoreValues:
             replayed = PackedSlot()
         assert merged.live_mask(now) == replayed.live_mask(now)
         assert merged.entries() == replayed.entries()
+
+
+class TestTTLPromotion:
+    def test_write_entry_ttl_promotion(self):
+        # A TTL'd vector promoted to immortal must not double-count.
+        node = Node(0)
+        write_entry(node, "docs", 3, 1, expiry=10)
+        write_entry(node, "docs", 3, 1, expiry=None)
+        assert storage_entries(node) == 1
+        slot = node.store[("docs", 1)]
+        assert slot.mask == 1 << 3 and not slot.expiring
+
+
+# ----------------------------------------------------------------------
+# Incremental storage_entries (no full-store scan on the hot path).
+# ----------------------------------------------------------------------
+def _loaded_dhs(ring_seed, dhs_seed, items):
+    ring = ChordRing.build(8, bits=16, seed=ring_seed)
+    dhs = DistributedHashSketch(
+        ring, DHSConfig(key_bits=12, num_bitmaps=16), seed=dhs_seed
+    )
+    dhs.insert_array("docs", np.arange(items, dtype=np.int64))
+    return ring, dhs
+
+
+class TestIncrementalStorageEntries:
+    def test_query_does_not_scan_slots(self, monkeypatch):
+        _, dhs = _loaded_dhs(3, 1, 200)
+        before = dhs.storage_per_node()
+        assert sum(before.values()) > 0
+
+        def boom(self):  # pragma: no cover - must never run
+            raise AssertionError("storage_entries scanned a slot")
+
+        monkeypatch.setattr(PackedSlot, "entries", boom)
+        assert dhs.storage_per_node() == before  # O(1) counter reads only
+
+    def test_stale_flag_triggers_one_rescan(self):
+        ring, _ = _loaded_dhs(3, 1, 100)
+        node = ring.node(ring.node_ids()[0])
+        true_count = storage_entries(node)
+        node.app_entries = -1  # corrupt the counter, then mark stale
+        node.app_entries_stale = True
+        assert storage_entries(node) == true_count
+        assert not node.app_entries_stale
+
+    def test_graceful_leave_marks_heir_stale(self):
+        ring, dhs = _loaded_dhs(5, 2, 500)
+        total = sum(dhs.storage_per_node().values())
+        leaver = next(
+            node_id for node_id in ring.node_ids() if ring.node(node_id).store
+        )
+        ring.remove_node(leaver, graceful=True)
+        assert sum(dhs.storage_per_node().values()) == total
+
+
+# ----------------------------------------------------------------------
+# live_mask TTL short-circuit.
+# ----------------------------------------------------------------------
+class _CountingDict(dict):
+    """Dict that counts iteration — pins the no-walk fast path."""
+
+    walks = 0
+
+    def items(self):
+        type(self).walks += 1
+        return super().items()
+
+
+class TestLiveMaskShortCircuit:
+    def test_no_dict_walk_before_first_expiry(self):
+        slot = PackedSlot(mask=0b1)
+        slot.expiring = _CountingDict({3: 10.0, 4: 20.0})
+        slot._recompute_ttl_cache()
+        _CountingDict.walks = 0
+        # now <= _ttl_min (10): every TTL'd vector is provably live.
+        assert slot.live_mask(0) == 0b1 | (1 << 3) | (1 << 4)
+        assert slot.live_mask(10) == 0b1 | (1 << 3) | (1 << 4)
+        assert _CountingDict.walks == 0
+        # Past the earliest expiry the dict walk is required.
+        assert slot.live_mask(11) == 0b1 | (1 << 4)
+        assert _CountingDict.walks == 1
+
+    def test_refresh_keeps_short_circuit_conservative(self):
+        node_mask_bit = 1 << 2
+        slot = PackedSlot()
+        slot.expiring = {2: 5.0}
+        slot._recompute_ttl_cache()
+        # Max-wins refresh leaves _ttl_min at the stale lower bound 5 —
+        # the short circuit fires less often but never wrongly.
+        slot.expiring[2] = 50.0
+        assert slot._ttl_min == 5.0
+        assert slot.live_mask(30) == node_mask_bit  # dict walk, still live
+
+
+class TestConfigValidation:
+    def test_store_field_is_gone(self):
+        # PackedSlot is the only node store: there is no backend to pick.
+        assert "store" not in {f.name for f in dataclasses.fields(DHSConfig)}
+        with pytest.raises(TypeError):
+            DHSConfig(store="packed")

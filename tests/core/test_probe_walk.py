@@ -3,15 +3,23 @@
 Built on a hand-placed ring so the expected probe order is computable by
 eye: lookup target first, successors up to (and one past) the interval's
 top edge, then predecessors from the start point, bounded by ``lim`` and
-by the interval being exhausted.
+by the interval being exhausted.  The last suite checks the scan's
+per-probe read choice: the direct store read must give results
+identical to the policy-wrapped probe on any fault-free history.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DHSConfig
 from repro.core.count import Counter
 from repro.core.dhs import DistributedHashSketch
 from repro.core.mapping import BitIntervalMap
+from repro.core.policy import RetryPolicy
+from repro.obs import runtime as obs
+from repro.obs.metrics import MetricsRegistry
 from repro.overlay.chord import ChordRing
 
 # 16-bit space. Interval of position 0 (with key_bits=8, m=1) is
@@ -179,3 +187,130 @@ class TestOverflowOwner:
         # 20000 is outside the interval and NOT the overflow owner:
         # it must never be probed.
         assert 20000 not in probed
+
+
+# ----------------------------------------------------------------------
+# The scan's per-probe read: direct store read vs policy-wrapped probe.
+# ----------------------------------------------------------------------
+METRICS = ("docs", "users", "hosts")
+
+#: Retries make the policy non-default, which selects the wrapped read.
+#: ``RetryPolicy.call`` draws from the RNG only after a failure, and a
+#: fault-free ring never fails, so both twins consume identical streams.
+RETRYING = RetryPolicy(max_attempts=3, backoff_hops=1, jitter_hops=2)
+
+
+def _twins(seed, ttl):
+    """A direct-read deployment and a wrapped-read one on equal rings."""
+    config = dict(key_bits=12, num_bitmaps=16, ttl=ttl)
+    direct = DistributedHashSketch(
+        ChordRing.build(16, bits=16, seed=seed, trace=True),
+        DHSConfig(**config), seed=seed,
+    )
+    wrapped = DistributedHashSketch(
+        ChordRing.build(16, bits=16, seed=seed, trace=True),
+        DHSConfig(**config), seed=seed, policy=RETRYING,
+    )
+    assert direct._counter._probe_read() == direct._counter._read_direct
+    assert wrapped._counter._probe_read() == wrapped._counter._probe_node
+    return direct, wrapped
+
+
+def _count_view(result):
+    return (
+        result.estimates,
+        result.cost,
+        result.probes,
+        result.probed_ids,
+        result.probed_nodes,
+        result.intervals_scanned,
+        result.exhausted_intervals,
+        result.degraded,
+        result.confidence,
+    )
+
+
+def _history():
+    insert = st.tuples(
+        st.just("insert"),
+        st.sampled_from(METRICS),
+        st.integers(1, 400),  # item count
+        st.integers(0, 5),  # base offset (overlap across inserts)
+        st.integers(0, 12),  # now
+    )
+    sweep = st.tuples(st.just("sweep"), st.integers(0, 40))
+    leave = st.tuples(st.just("leave"), st.integers(0, 15))
+    crash = st.tuples(st.just("crash"), st.integers(0, 15))
+    # Counts land mostly inside the TTL window of recent inserts.
+    count = st.tuples(st.just("count"), st.integers(0, 20))
+    return st.lists(st.one_of(insert, sweep, leave, crash, count), min_size=1, max_size=10)
+
+
+def _replay(dhs, ops):
+    """Apply ``ops`` to ``dhs``; returns every observable outcome."""
+    out = []
+    ring = dhs.dht
+    for op in ops:
+        if op[0] == "insert":
+            _, metric, n, base, now = op
+            items = np.arange(base * 100, base * 100 + n, dtype=np.int64)
+            out.append(dhs.insert_array(metric, items, now=now))
+        elif op[0] == "sweep":
+            out.append(dhs.sweep_expired(op[1]))
+        elif op[0] in ("leave", "crash"):
+            ids = list(ring.node_ids())
+            if len(ids) <= 2:
+                continue
+            victim = ids[op[1] % len(ids)]
+            if op[0] == "leave":
+                ring.remove_node(victim, graceful=True)
+            else:
+                ring.mark_failed(victim)  # lazy crash: found by a probe timeout
+        else:
+            out.append(_count_view(dhs.count_many(list(METRICS), now=op[1])))
+            out.append(ring.load.counts())
+    return out
+
+
+class TestDirectReadExactness:
+    """The direct store read is the wrapped probe with inert wrappers peeled."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        ttl=st.sampled_from([None, 8]),
+        ops=_history(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_histories_identical(self, seed, ttl, ops):
+        direct, wrapped = _twins(seed, ttl)
+        snapshots = []
+        outcomes = []
+        for dhs in (direct, wrapped):
+            registry = MetricsRegistry()
+            with obs.observed(registry=registry, tracing=False):
+                outcomes.append(_replay(dhs, ops))
+            snapshots.append(registry.snapshot())
+        assert outcomes[0] == outcomes[1]
+        # The direct read charges ``dht.probes`` like DHTProtocol.probe.
+        assert snapshots[0] == snapshots[1]
+
+    def test_observability_does_not_change_the_read(self):
+        direct, wrapped = _twins(3, None)
+        with obs.observed():
+            assert direct._counter._probe_read() == direct._counter._read_direct
+            assert wrapped._counter._probe_read() == wrapped._counter._probe_node
+
+    def test_read_repair_and_faults_select_the_wrapped_read(self):
+        from repro.overlay.faults import FaultInjector, FaultPlan
+
+        ring = ChordRing.build(16, bits=16, seed=1)
+        repairing = DistributedHashSketch(
+            ring, DHSConfig(key_bits=12, num_bitmaps=16, replication=1,
+                            read_repair=True),
+        )
+        assert repairing._counter._probe_read() == repairing._counter._probe_node
+        faulty = DistributedHashSketch(
+            FaultInjector(ChordRing.build(16, bits=16, seed=1), FaultPlan(), seed=0),
+            DHSConfig(key_bits=12, num_bitmaps=16),
+        )
+        assert faulty._counter._probe_read() == faulty._counter._probe_node

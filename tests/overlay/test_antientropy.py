@@ -1,6 +1,6 @@
 """Tests for digest-tree anti-entropy (repro.overlay.antientropy).
 
-Covers the digest canonicalization (backend independence, segment
+Covers the digest canonicalization (write-path independence, segment
 locality), the pairwise reconciliation protocol (push / homecoming,
 OR-merge, expiry preservation, digest-floor bandwidth) and the
 convergence property the whole subsystem exists for — including the
@@ -8,6 +8,7 @@ order-independence property test (any reconciliation schedule over any
 divergent pair lands on the identical bit state).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,24 +99,26 @@ class TestDigests:
         )
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_backend_independence(self, seed):
-        """Packed and arena-backed deployments digest identically."""
+    def test_write_path_independence(self, seed):
+        """Per-tuple and whole-bitmap writes of the same items digest
+        identically: leaves hash the canonical bitmap, not the history."""
         roots = {}
-        for store in ("packed", "array"):
+        for lane in ("bulk", "array"):
             ring = make_ring()
             dhs = DistributedHashSketch(
-                ring,
-                DHSConfig(key_bits=8, num_bitmaps=4, store=store, hash_seed=seed),
-                seed=1,
+                ring, DHSConfig(key_bits=8, num_bitmaps=4, hash_seed=seed), seed=1
             )
-            dhs.insert_bulk("docs", range(200), origin=100, now=0)
-            roots[store] = [
+            if lane == "bulk":
+                dhs.insert_bulk("docs", range(200), origin=100, now=0)
+            else:
+                dhs.insert_array("docs", np.arange(200), origin=100, now=0)
+            roots[lane] = [
                 store_digest(
                     ring.node(node_id), 0, dhs.mapping.interval_index
                 ).root
                 for node_id in ring.node_ids()
             ]
-        assert roots["packed"] == roots["array"]
+        assert roots["bulk"] == roots["array"]
 
 
 class TestSyncStores:
@@ -219,7 +222,7 @@ class TestConvergenceProperty:
 
 
 class TestSweep:
-    def make_dhs(self, store="array"):
+    def make_dhs(self):
         ring = make_ring()
         plan = FaultPlan(events=(FaultEvent("amnesia", at=1, fraction=0.3, duration=2),))
         injector = FaultInjector(ring, plan, seed=4)
@@ -227,18 +230,17 @@ class TestSweep:
             injector,
             DHSConfig(
                 key_bits=8, num_bitmaps=4, replication=2,
-                read_repair=True, store=store,
+                read_repair=True,
             ),
             seed=1,
         )
         dhs.insert_bulk("docs", range(300), origin=100, now=0)
         return injector, dhs
 
-    @pytest.mark.parametrize("store", ["packed", "array"])
-    def test_amnesia_divergence_healed_in_bounded_rounds(self, store):
+    def test_amnesia_divergence_healed_in_bounded_rounds(self):
         """Repairs cascade one chain hop per round; divergence must hit
         zero within a couple of rounds, not asymptotically."""
-        injector, dhs = self.make_dhs(store)
+        injector, dhs = self.make_dhs()
         injector.advance_to(3)  # victims back, stores empty
         assert dhs.replica_divergence(3) > 0
         first = dhs.antientropy(3)

@@ -327,92 +327,32 @@ class TestAdHocProcessPool:
         codes, _ = lint(tmp_path, "import multiprocessing\n")
         assert codes == []
 
-    def test_regstore_shared_memory_import_exempt(self, tmp_path):
+    def test_shared_memory_import_flagged(self, tmp_path):
         codes, _ = lint(
             tmp_path,
             "from multiprocessing import shared_memory\n",
-            module="repro.core.regstore",
-        )
-        assert codes == []
-
-    def test_regstore_dotted_shared_memory_import_exempt(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "import multiprocessing.shared_memory\n",
-            module="repro.core.regstore",
-        )
-        assert codes == []
-
-    def test_regstore_pool_import_still_flagged(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "from multiprocessing import Pool\n",
-            module="repro.core.regstore",
+            module="repro.core.tuples",
         )
         assert codes == ["DHS501"]
 
-
-# ----------------------------------------------------------------------
-# DHS901 — shared memory outside repro.core.regstore
-# ----------------------------------------------------------------------
-class TestSharedMemoryOutsideRegstore:
-    def test_from_import_flagged(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "from multiprocessing import shared_memory\n",
-            module="repro.core.count",
-        )
-        assert codes == ["DHS501", "DHS901"]
-
-    def test_dotted_import_flagged(self, tmp_path):
+    def test_dotted_shared_memory_import_flagged(self, tmp_path):
         codes, _ = lint(
             tmp_path,
             "import multiprocessing.shared_memory\n",
-            module="repro.sim.timeline",
+            module="repro.core.tuples",
         )
-        assert codes == ["DHS501", "DHS901"]
-
-    def test_submodule_from_import_flagged(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "from multiprocessing.shared_memory import SharedMemory\n",
-            module="repro.obs.metrics",
-        )
-        assert codes == ["DHS501", "DHS901"]
-
-    def test_parallel_root_not_exempt(self, tmp_path):
-        # DHS501 exempts repro.sim.parallel; DHS901 still bans segments.
-        codes, _ = lint(
-            tmp_path,
-            "from multiprocessing import shared_memory\n"
-            "shm = shared_memory.SharedMemory(create=True, size=64)\n",
-            module="repro.sim.parallel",
-        )
-        assert codes == ["DHS901", "DHS901"]
-
-    def test_regstore_exempt(self, tmp_path):
-        codes, _ = lint(
-            tmp_path,
-            "from multiprocessing import shared_memory\n"
-            "shm = shared_memory.SharedMemory(create=True, size=64)\n",
-            module="repro.core.regstore",
-        )
-        assert codes == []
-
-    def test_outside_package_not_checked(self, tmp_path):
-        codes, _ = lint(tmp_path, "import multiprocessing.shared_memory\n")
-        assert codes == []
+        assert codes == ["DHS501"]
 
 
 # ----------------------------------------------------------------------
 # DHS1001 — digest computation over register state outside antientropy
 # ----------------------------------------------------------------------
 class TestDigestOutsideAntientropy:
-    def test_hashlib_next_to_regstore_flagged(self, tmp_path):
+    def test_hashlib_next_to_store_flagged(self, tmp_path):
         codes, _ = lint(
             tmp_path,
             "import hashlib\n"
-            "from repro.core.regstore import RegArena\n"
+            "from repro.core.tuples import PackedSlot\n"
             "d = hashlib.blake2b(b'row', digest_size=16)\n",
             module="repro.core.maintenance",
         )
@@ -423,7 +363,7 @@ class TestDigestOutsideAntientropy:
         codes, _ = lint(
             tmp_path,
             "from hashlib import blake2b\n"
-            "from repro.core import regstore\n"
+            "from repro.core import tuples\n"
             "d = blake2b(b'row')\n",
             module="repro.experiments.soak",
         )
@@ -431,18 +371,18 @@ class TestDigestOutsideAntientropy:
 
     def test_antientropy_module_exempt(self, tmp_path):
         # The same snippet would trip DHS201 too (overlay importing
-        # core) — the real module duck-types arenas for exactly that
+        # core) — the real module duck-types slots for exactly that
         # reason; here only the DHS1001 exemption is under test.
         codes, _ = lint(
             tmp_path,
             "import hashlib\n"
-            "from repro.core.regstore import RegArena\n"
+            "from repro.core.tuples import PackedSlot\n"
             "d = hashlib.blake2b(b'row')\n",
             module="repro.overlay.antientropy",
         )
         assert "DHS1001" not in codes
 
-    def test_hashlib_without_regstore_clean(self, tmp_path):
+    def test_hashlib_without_store_clean(self, tmp_path):
         # workloads/relations.py hashes relation names — no register
         # state in sight, so no canonicalization to fork.
         codes, _ = lint(
@@ -452,10 +392,10 @@ class TestDigestOutsideAntientropy:
         )
         assert codes == []
 
-    def test_regstore_without_hashlib_clean(self, tmp_path):
+    def test_store_without_hashlib_clean(self, tmp_path):
         codes, _ = lint(
             tmp_path,
-            "from repro.core.regstore import RegArena\narena = None\n",
+            "from repro.core.tuples import PackedSlot\nslot = None\n",
             module="repro.core.maintenance",
         )
         assert codes == []
@@ -463,7 +403,7 @@ class TestDigestOutsideAntientropy:
     def test_outside_package_not_checked(self, tmp_path):
         codes, _ = lint(
             tmp_path,
-            "import hashlib\nfrom repro.core.regstore import RegArena\n",
+            "import hashlib\nfrom repro.core.tuples import PackedSlot\n",
         )
         assert codes == []
 
@@ -732,7 +672,7 @@ class TestCli:
             "DHS101", "DHS102", "DHS103",
             "DHS201", "DHS202", "DHS203",
             "DHS301", "DHS401", "DHS402", "DHS403",
-            "DHS501", "DHS502", "DHS601", "DHS901", "DHS1001",
+            "DHS501", "DHS502", "DHS601", "DHS1001",
             # Whole-program dataflow rules.
             "DHS801", "DHS802", "DHS803",
             "DHS811", "DHS812", "DHS813",

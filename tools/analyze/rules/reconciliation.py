@@ -1,17 +1,16 @@
 """Reconciliation rules (DHS10xx).
 
-Anti-entropy correctness hinges on one invariant: **both register
-backends digest to identical bytes**.  ``repro.overlay.antientropy``
-canonicalizes a register row the same way whether it lives as a Python
-``int`` mask or as an arena row (``RegArena.rows_canonical`` mirrors
-``mask.to_bytes(..., "little")`` with trailing zeros stripped), and
-every digest in the system is built from that one canonical form.  A
-second module hashing arena state independently would fork the
-canonicalization — two nodes could disagree about convergence purely
-because of *how* they hashed, the exact failure mode digest trees exist
-to rule out.  DHS1001 therefore confines digest computation over
-register state to the antientropy module, the same way DHS901 confines
-shared-memory segment lifecycle to ``repro.core.regstore``.
+Anti-entropy correctness hinges on one invariant: **equal register
+state digests to identical bytes**.  ``repro.overlay.antientropy``
+canonicalizes every slot bitmap one way (``mask.to_bytes(...,
+"little")`` with trailing zeros stripped), and every digest in the
+system is built from that one canonical form.  A second module hashing
+store state independently would fork the canonicalization — two nodes
+could disagree about convergence purely because of *how* they hashed,
+the exact failure mode digest trees exist to rule out.  DHS1001
+therefore confines digest computation over register state to the
+antientropy module: a module that imports the store module
+``repro.core.tuples`` may not hash.
 """
 
 from __future__ import annotations
@@ -25,21 +24,21 @@ from tools.analyze.rules._imports import ImportTable
 #: The one module allowed to hash register-store state.
 _ANTIENTROPY_ROOT = "repro.overlay.antientropy"
 
-#: The register-arena module whose state is being digested.
-_REGSTORE_ROOT = "repro.core.regstore"
+#: The node-store module whose state is being digested.
+_STORE_ROOT = "repro.core.tuples"
 
 
-def _imports_regstore(tree: ast.AST) -> bool:
-    """Whether the module imports ``repro.core.regstore`` in any form."""
+def _imports_store(tree: ast.AST) -> bool:
+    """Whether the module imports ``repro.core.tuples`` in any form."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(alias.name.startswith(_REGSTORE_ROOT) for alias in node.names):
+            if any(alias.name.startswith(_STORE_ROOT) for alias in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            if node.module.startswith(_REGSTORE_ROOT):
+            if node.module.startswith(_STORE_ROOT):
                 return True
             if node.module == "repro.core" and any(
-                alias.name == "regstore" for alias in node.names
+                alias.name == "tuples" for alias in node.names
             ):
                 return True
     return False
@@ -47,7 +46,7 @@ def _imports_regstore(tree: ast.AST) -> bool:
 
 @register
 class DigestOutsideAntientropy(Rule):
-    """DHS1001 — hashing register-arena state outside the antientropy module."""
+    """DHS1001 — hashing node-store state outside the antientropy module."""
 
     code = "DHS1001"
     name = "digest-outside-antientropy"
@@ -55,10 +54,10 @@ class DigestOutsideAntientropy(Rule):
         "Anti-entropy digests are only meaningful if every node computes "
         "them from the identical canonical bytes: "
         "`repro.overlay.antientropy` owns that canonicalization "
-        "(`RegArena.rows_canonical` <-> `mask.to_bytes`, little-endian, "
-        "trailing zeros stripped) and the blake2b leaf/segment/root "
-        "construction over it. A module that imports repro.core.regstore "
-        "and hashes on its own forks the canonical form — two replicas "
+        "(`mask.to_bytes`, little-endian, trailing zeros stripped) and "
+        "the blake2b leaf/segment/root construction over it. A module "
+        "that imports repro.core.tuples (the node store) and hashes on "
+        "its own forks the canonical form — two replicas "
         "could then disagree about convergence because of how they "
         "hashed, not what they store. Compute digests via "
         "repro.overlay.antientropy (store_digest / view_digest) instead."
@@ -67,7 +66,7 @@ class DigestOutsideAntientropy(Rule):
     def check(self, ctx: FileContext) -> Iterable[Violation]:
         if not ctx.in_package() or ctx.module == _ANTIENTROPY_ROOT:
             return []
-        if not _imports_regstore(ctx.tree):
+        if not _imports_store(ctx.tree):
             return []
         out: List[Violation] = []
         table = ImportTable(ctx.tree)
@@ -78,7 +77,7 @@ class DigestOutsideAntientropy(Rule):
                         out.append(
                             self.violation(
                                 ctx, node, f"`import {alias.name}` next to a "
-                                f"{_REGSTORE_ROOT} import; digesting register "
+                                f"{_STORE_ROOT} import; digesting register "
                                 f"state belongs to {_ANTIENTROPY_ROOT}"
                             )
                         )
@@ -87,7 +86,7 @@ class DigestOutsideAntientropy(Rule):
                     out.append(
                         self.violation(
                             ctx, node, f"`from {node.module} import ...` next to "
-                            f"a {_REGSTORE_ROOT} import; digesting register "
+                            f"a {_STORE_ROOT} import; digesting register "
                             f"state belongs to {_ANTIENTROPY_ROOT}"
                         )
                     )
@@ -97,7 +96,7 @@ class DigestOutsideAntientropy(Rule):
                     out.append(
                         self.violation(
                             ctx, node, f"`{origin}()` hashes in a module that "
-                            f"imports {_REGSTORE_ROOT}; compute register "
+                            f"imports {_STORE_ROOT}; compute register "
                             f"digests via {_ANTIENTROPY_ROOT} instead"
                         )
                     )
