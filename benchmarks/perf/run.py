@@ -227,7 +227,12 @@ def bench_multitenant(
 def bench_insert(
     n_nodes: int, items: int, vectorized: bool, m: int = 512
 ) -> Dict[str, Any]:
-    """Bulk-insertion throughput (one metric, one origin node)."""
+    """Bulk-insertion throughput (one metric, one origin node).
+
+    ``vectorized`` passes ``insert_bulk`` an int64 ndarray (hashed in one
+    numpy pass); otherwise a generator of Python ints, which is hashed
+    item by item.  Both lanes share the grouping and the routed stores.
+    """
     ring = ChordRing.build(n_nodes, bits=64, seed=SEED)
     dhs = DistributedHashSketch(
         ring, DHSConfig(num_bitmaps=m, key_bits=24), seed=SEED
@@ -236,7 +241,7 @@ def bench_insert(
     origin = list(ring.node_ids())[0]
     start = time.perf_counter()
     if vectorized:
-        cost = dhs.insert_array("perf", ids, origin=origin)
+        cost = dhs.insert_bulk("perf", ids, origin=origin)
     else:
         cost = dhs.insert_bulk("perf", (int(item) for item in ids), origin=origin)
     seconds = time.perf_counter() - start
@@ -257,7 +262,7 @@ def bench_count(
     dhs = DistributedHashSketch(
         ring, DHSConfig(num_bitmaps=m, key_bits=24), seed=SEED
     )
-    dhs.insert_array("perf", np.arange(items, dtype=np.int64))
+    dhs.insert_bulk("perf", np.arange(items, dtype=np.int64))
     rng = rng_for(SEED, "perf-count", n_nodes, m)
     origins = [ring.random_live_node(rng) for _ in range(counts)]
     hops = 0
@@ -296,7 +301,7 @@ def bench_count_faulty(
         seed=SEED,
         policy=RetryPolicy(max_attempts=3, backoff_hops=1),
     )
-    dhs.insert_array("perf", np.arange(items, dtype=np.int64))
+    dhs.insert_bulk("perf", np.arange(items, dtype=np.int64))
     injector.advance_to(1)
     rng = rng_for(SEED, "perf-count-faulty", n_nodes, m)
     origins = [injector.random_live_node(rng) for _ in range(counts)]
@@ -345,7 +350,7 @@ def bench_count_traced(
     dhs = DistributedHashSketch(
         ring, DHSConfig(num_bitmaps=m, key_bits=24), seed=SEED
     )
-    dhs.insert_array("perf", np.arange(items, dtype=np.int64))
+    dhs.insert_bulk("perf", np.arange(items, dtype=np.int64))
     rng = rng_for(SEED, "perf-count-traced", n_nodes, m)
     origins = [ring.random_live_node(rng) for _ in range(counts)]
 
@@ -401,7 +406,7 @@ def bench_insert_traced(n_nodes: int, items: int, m: int = 512) -> Dict[str, Any
 
     def one_pass() -> float:
         start = time.perf_counter()
-        dhs.insert_array("perf", ids, origin=origin)
+        dhs.insert_bulk("perf", ids, origin=origin)
         return time.perf_counter() - start
 
     plain = traced = float("inf")

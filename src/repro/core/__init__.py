@@ -4,7 +4,7 @@ from repro.core.config import DEFAULT_LIM, DHSConfig
 from repro.core.count import Counter, CountResult
 from repro.core.dhs import DistributedHashSketch
 from repro.core.insert import Inserter
-from repro.core.maintenance import refresh, stabilize, sweep_expired
+from repro.core.maintenance import stabilize, sweep_expired
 from repro.core.mapping import BitIntervalMap
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.core.retries import (
@@ -23,6 +23,7 @@ from repro.core.tuples import (
     storage_entries,
     vectors_at,
     vectors_mask,
+    copy_entries,
     write_entry,
     write_entry_mask,
 )
@@ -34,7 +35,6 @@ __all__ = [
     "CountResult",
     "DistributedHashSketch",
     "Inserter",
-    "refresh",
     "stabilize",
     "sweep_expired",
     "BitIntervalMap",
@@ -53,6 +53,7 @@ __all__ = [
     "storage_entries",
     "vectors_at",
     "vectors_mask",
+    "copy_entries",
     "write_entry",
     "write_entry_mask",
 ]

@@ -43,7 +43,7 @@ from repro.core.config import DHSConfig
 from repro.core.mapping import BitIntervalMap
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
 from repro.core.retries import lim_with_replication, success_probability
-from repro.core.tuples import PackedSlot, bits_of, vectors_mask, write_entry
+from repro.core.tuples import PackedSlot, copy_entries, vectors_mask
 from repro.errors import MessageDropped
 from repro.hashing.family import HashFamily
 from repro.obs import runtime as obs
@@ -670,16 +670,9 @@ class Counter:
                 if not src_mask:
                     continue
                 missing = src_mask & ~vectors_mask(replica, metric, position, now)
-                if not missing:
-                    continue
                 slot = source.store.get((metric, position))
-                for vector in bits_of(missing):
-                    expiry: Optional[int] = None
-                    if isinstance(slot, PackedSlot) and not (slot.mask >> vector) & 1:
-                        raw = (slot.expiring or {}).get(vector)
-                        expiry = int(raw) if raw is not None else None
-                    write_entry(replica, metric, vector, position, expiry)
-                    wrote += 1
+                if missing and isinstance(slot, PackedSlot):
+                    wrote += copy_entries(slot, replica, metric, position, missing)
             if wrote:
                 cost.hops += 1
                 cost.messages += 1

@@ -21,10 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List,
 if TYPE_CHECKING:  # annotation only
     import random
 
-    from repro.overlay.antientropy import AntiEntropyStats
-
-import numpy as np
-import numpy.typing as npt
+    from repro.core.antientropy import AntiEntropyStats
 
 from repro.core.config import DHSConfig
 from repro.core.count import Counter, CountResult
@@ -34,7 +31,6 @@ from repro.core.maintenance import (
     MaintenanceConfig,
     MaintenanceScheduler,
     antientropy_sweep,
-    refresh,
     replica_divergence,
     stabilize,
     sweep_expired,
@@ -124,22 +120,6 @@ class DistributedHashSketch:
         """Record items grouped by interval (<= k stores total)."""
         return self._inserter.insert_bulk(metric_id, items, origin=origin, now=now)
 
-    def insert_array(
-        self,
-        metric_id: Hashable,
-        item_ids: "npt.NDArray[np.int64]",
-        origin: Optional[int] = None,
-        now: int = 0,
-    ) -> OpCost:
-        """Vectorized :meth:`insert_bulk` over an array of item ids.
-
-        Hashes the whole array in one numpy pass and performs the same
-        per-interval stores (same costs, same stored tuples) as the
-        scalar bulk path — the fast lane for multi-million-item
-        workloads (see docs/PERFORMANCE.md).
-        """
-        return self._inserter.insert_array(metric_id, item_ids, origin=origin, now=now)
-
     def refresh(
         self,
         metric_id: Hashable,
@@ -147,8 +127,12 @@ class DistributedHashSketch:
         origin: Optional[int] = None,
         now: int = 0,
     ) -> OpCost:
-        """Refresh the soft state of live items (section 3.3)."""
-        return refresh(self._inserter, metric_id, items, origin=origin, now=now)
+        """Refresh the soft state of live items (section 3.3).
+
+        Refreshing is re-insertion: matching entries get their expiry
+        bumped, missing ones are re-created (e.g. after a crash).
+        """
+        return self._inserter.insert_bulk(metric_id, items, origin=origin, now=now)
 
     # ------------------------------------------------------------------
     # Counting.

@@ -10,11 +10,21 @@ nodes — the redundancy the counting algorithm's probe phase relies on.
 ``insert_bulk`` implements the paper's batching observation: a node with
 many items groups them by interval and contacts at most ``k`` nodes per
 round, one per interval, instead of one per item.
+
+There is one write path.  Every iterable becomes ``(vector, position)``
+observation arrays (an integer ndarray is hashed in one numpy pass,
+anything else item by item), and one grouping — a boolean
+``(position, vector)`` grid packed into one bitmap per position —
+feeds one routed store per non-empty interval.  TTL'd and immortal
+writes take the same path; the owner and each successor replica apply
+the same :func:`~repro.core.tuples.write_entry_mask`.  Refreshing is
+re-insertion (section 3.3).  Single-item :meth:`Inserter.insert` skips
+the grid and stores its one bit directly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -22,7 +32,7 @@ import numpy.typing as npt
 from repro.core.config import DHSConfig
 from repro.core.mapping import BitIntervalMap
 from repro.core.policy import DEFAULT_POLICY, RetryPolicy
-from repro.core.tuples import write_entry, write_entry_mask
+from repro.core.tuples import write_entry_mask
 from repro.errors import MessageDropped
 from repro.hashing.family import HashFamily
 from repro.hashing.vectorized import observations_np
@@ -84,12 +94,7 @@ class Inserter:
         vector, position = self.observation(item)
         if not self.mapping.is_stored(position):
             return OpCost()
-        return self._write_tuples(
-            self.mapping.interval_index(position),
-            [(metric_id, vector, position)],
-            origin=origin,
-            now=now,
-        )
+        return self._store_write(metric_id, position, 1 << vector, origin, now)
 
     def insert_many(
         self,
@@ -123,59 +128,29 @@ class Inserter:
 
         All of an interval's tuples ride a single routed message, so the
         hop cost is ``O(k log N)`` per caller regardless of item count
-        (the byte cost still scales with the distinct tuples sent).
+        (the byte cost still scales with the distinct tuples sent).  An
+        integer ndarray of (non-negative) item ids under the ``mixer``
+        family is hashed in one numpy pass by
+        :func:`~repro.hashing.vectorized.observations_np`; anything else
+        goes through :meth:`observation` one item at a time.  Both give
+        bit-identical observations, so the stores are the same.
         """
-        by_interval: Dict[int, Dict[Tuple[Hashable, int, int], None]] = {}
-        for item in items:
-            vector, position = self.observation(item)
-            if not self.mapping.is_stored(position):
-                continue
-            index = self.mapping.interval_index(position)
-            # dict-as-ordered-set: one tuple per distinct (vector, bit).
-            by_interval.setdefault(index, {})[(metric_id, vector, position)] = None
-        total = OpCost()
-        for index, tuple_set in sorted(by_interval.items()):
-            total.add(
-                self._write_tuples(index, list(tuple_set), origin=origin, now=now)
+        config = self.config
+        if (
+            isinstance(items, np.ndarray)
+            and items.dtype.kind in "iu"
+            and config.hash_family_name == "mixer"
+        ):
+            vectors, positions = observations_np(
+                np.ascontiguousarray(items, dtype=np.int64),
+                config.num_bitmaps, config.key_bits, seed=config.hash_seed,
             )
-        return total
-
-    def insert_array(
-        self,
-        metric_id: Hashable,
-        item_ids: npt.NDArray[np.int64],
-        origin: Optional[int] = None,
-        now: int = 0,
-    ) -> OpCost:
-        """Vectorized :meth:`insert_bulk` over an array of item ids.
-
-        Hashes the whole array once with
-        :func:`repro.hashing.vectorized.observations_np` (bit-for-bit
-        identical to the scalar :meth:`observation` path — tests assert
-        exact agreement), groups the distinct ``(vector, position)``
-        observations by id-space interval with ``np.unique``, and sends
-        each interval's tuples through the same :meth:`_write_tuples`
-        path as the scalar bulk inserter.  Given the same items, seed
-        and overlay state it performs the same stores, draws the same
-        random target keys, and returns an equal
-        :class:`~repro.overlay.stats.OpCost`.
-
-        ``item_ids`` must be non-negative integers (the library's
-        workload convention).  Non-``mixer`` hash families have no
-        vectorized twin and fall back to the scalar path.
-        """
-        ids = np.ascontiguousarray(item_ids, dtype=np.int64)
-        if self.config.hash_family_name != "mixer":
-            return self.insert_bulk(
-                metric_id, (int(item) for item in ids), origin=origin, now=now
-            )
-        vectors, positions = observations_np(
-            ids, self.config.num_bitmaps, self.config.key_bits,
-            seed=self.config.hash_seed,
-        )
-        return self.insert_observation_arrays(
-            metric_id, vectors, positions, origin=origin, now=now
-        )
+        else:
+            pairs = np.array(
+                [self.observation(item) for item in items], dtype=np.int64
+            ).reshape(-1, 2)
+            vectors, positions = pairs[:, 0], pairs[:, 1]
+        return self._insert_grid(metric_id, vectors, positions, origin, now)
 
     def insert_observation_arrays(
         self,
@@ -185,43 +160,14 @@ class Inserter:
         origin: Optional[int] = None,
         now: int = 0,
     ) -> OpCost:
-        """Bulk-insert pre-computed observation *arrays* (numpy twin of
-        :meth:`insert_observations`; same clamping, grouping and store
-        order, so the two paths are byte- and cost-identical)."""
-        config = self.config
-        positions = np.minimum(
-            np.asarray(positions, dtype=np.int64), config.position_bits - 1
-        )
-        vectors = np.asarray(vectors, dtype=np.int64)
-        if config.bit_shift > 0:
-            stored = positions >= config.bit_shift
-            positions = positions[stored]
-            vectors = vectors[stored]
-        if positions.size == 0:
-            return OpCost()
-        if config.expiry(now) is None:
-            return self._insert_mask_arrays(metric_id, vectors, positions, origin, now)
-        m = config.num_bitmaps
-        # One integer per (position, vector) pair; np.unique both dedups
-        # and sorts, and ascending position is ascending interval index —
-        # the same store order as the scalar path's sorted() grouping.
-        combined = np.unique(positions * m + vectors)
-        unique_positions = combined // m
-        unique_vectors = combined - unique_positions * m
-        segment_positions, starts = np.unique(unique_positions, return_index=True)
-        bounds = np.concatenate((starts, np.asarray([combined.size])))
-        total = OpCost()
-        for segment, position in enumerate(segment_positions.tolist()):
-            index = self.mapping.interval_index(position)
-            lo, hi = int(bounds[segment]), int(bounds[segment + 1])
-            tuples: List[Tuple[Hashable, int, int]] = [
-                (metric_id, vector, position)
-                for vector in unique_vectors[lo:hi].tolist()
-            ]
-            total.add(self._write_tuples(index, tuples, origin=origin, now=now))
-        return total
+        """Bulk-insert pre-computed ``(vector, position)`` observation arrays.
 
-    def _insert_mask_arrays(
+        Positions are clamped like the sketches' and grouped exactly as
+        in :meth:`insert_bulk`.
+        """
+        return self._insert_grid(metric_id, vectors, positions, origin, now)
+
+    def _insert_grid(
         self,
         metric_id: Hashable,
         vectors: npt.NDArray[np.int64],
@@ -229,104 +175,63 @@ class Inserter:
         origin: Optional[int],
         now: int,
     ) -> OpCost:
-        """Immortal-write twin of :meth:`insert_observation_arrays`.
+        """The one insert grouping: one bitmap store per non-empty interval.
 
-        Dedups the observations with one boolean scatter (no sort),
-        packs each position's distinct vectors into bytes with
-        ``np.packbits``, and stores one *bitmap* per non-empty interval
-        via :func:`repro.core.tuples.write_entry_mask`.
-        Same ascending-interval order, same per-interval random key
-        draws, and the payload still counts one tuple per distinct
-        ``(vector, position)`` pair, so costs and stored state are
-        identical to the per-tuple path.
+        Dedups the observations with one boolean scatter over a
+        ``(position, vector)`` grid (no sort), packs each position's
+        distinct vectors into an integer bitmap with ``np.packbits``, and
+        stores the intervals in ascending order — one random key draw
+        each.  The payload counts one tuple per distinct pair.  Both
+        public entry points call it, so neither nests inside the other.
         """
-        m = self.config.num_bitmaps
-        n_pos = self.config.position_bits
-        # Boolean presence grid over (position, vector): duplicate
-        # observations collapse for free, no O(n log n) sort needed.
+        config = self.config
+        m = config.num_bitmaps
+        n_pos = config.position_bits
+        positions = np.minimum(np.asarray(positions, dtype=np.int64), n_pos - 1)
+        vectors = np.asarray(vectors, dtype=np.int64)
+        if config.bit_shift > 0:
+            stored = positions >= config.bit_shift
+            positions = positions[stored]
+            vectors = vectors[stored]
+        if positions.size == 0:
+            return OpCost()
         grid = np.zeros(n_pos * m, dtype=bool)
         grid[positions * m + vectors] = True
-        grid = grid.reshape(n_pos, m)
-        packed = np.packbits(grid, axis=1, bitorder="little")
+        packed = np.packbits(grid.reshape(n_pos, m), axis=1, bitorder="little")
         pos_seen = np.zeros(n_pos, dtype=bool)
         pos_seen[positions] = True
         total = OpCost()
         for position in np.flatnonzero(pos_seen).tolist():
-            index = self.mapping.interval_index(position)
             mask = int.from_bytes(packed[position].tobytes(), "little")
-            total.add(self._store_mask(index, metric_id, position, mask, origin, now))
+            total.add(self._store_write(metric_id, position, mask, origin, now))
         return total
 
-    def _store_mask(
+    # ------------------------------------------------------------------
+    # The routed store.
+    # ------------------------------------------------------------------
+    def _store_write(
         self,
-        index: int,
         metric_id: Hashable,
         position: int,
         mask: int,
         origin: Optional[int],
         now: int,
     ) -> OpCost:
-        """Store one interval's deduplicated vector bitmap."""
+        """Route the vectors ``mask`` of one position to a random key of
+        its interval.
 
-        def write(node: Node) -> None:
-            write_entry_mask(node, metric_id, position, mask)
-
-        return self._store_write(index, write, mask.bit_count(), origin, now)
-
-    def insert_observations(
-        self,
-        metric_id: Hashable,
-        observations: Iterable[Tuple[int, int]],
-        origin: Optional[int] = None,
-        now: int = 0,
-    ) -> OpCost:
-        """Bulk-insert pre-computed ``(vector, position)`` observations."""
-        by_interval: Dict[int, Dict[Tuple[Hashable, int, int], None]] = {}
-        for vector, position in observations:
-            position = min(position, self.config.position_bits - 1)
-            if not self.mapping.is_stored(position):
-                continue
-            index = self.mapping.interval_index(position)
-            by_interval.setdefault(index, {})[(metric_id, vector, position)] = None
-        total = OpCost()
-        for index, tuple_set in sorted(by_interval.items()):
-            total.add(
-                self._write_tuples(index, list(tuple_set), origin=origin, now=now)
-            )
-        return total
-
-    # ------------------------------------------------------------------
-    # Shared write path.
-    # ------------------------------------------------------------------
-    def _write_tuples(
-        self,
-        index: int,
-        tuples: List[Tuple[Hashable, int, int]],
-        origin: Optional[int],
-        now: int,
-    ) -> OpCost:
+        The owner applies one :func:`~repro.core.tuples.write_entry_mask`,
+        then its successor replicas apply the same write.  Tracing wraps
+        the store in an ``insert.store`` span and metering counts it;
+        neither changes what is written or charged.
+        """
+        index = self.mapping.interval_index(position)
+        count = mask.bit_count()
         expiry = self.config.expiry(now)
 
         def write(node: Node) -> None:
-            for metric_id, vector, position in tuples:
-                write_entry(node, metric_id, vector, position, expiry)
+            write_entry_mask(node, metric_id, position, mask, expiry)
 
-        return self._store_write(index, write, len(tuples), origin, now)
-
-    def _store_write(
-        self,
-        index: int,
-        write: Callable[[Node], None],
-        count: int,
-        origin: Optional[int],
-        now: int,
-    ) -> OpCost:
-        """Route one interval's tuples to a random in-interval key.
-
-        The owner applies ``write``, then its successor replicas do.
-        Tracing wraps the store in an ``insert.store`` span and metering
-        counts it; neither changes what is written or charged.
-        """
         span = (
             obs.TRACER.start("insert.store", tick=now, interval=index, tuples=count)
             if obs.TRACING

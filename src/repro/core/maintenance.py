@@ -13,23 +13,16 @@ kit); nothing here reads wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Hashable,
-    Iterable,
-    Optional,
-    Tuple,
-    cast,
+from typing import TYPE_CHECKING, Callable, Optional
+
+from repro.core.antientropy import (
+    AntiEntropyStats,
+    antientropy_round,
+    primary_mask,
+    walk_visible,
 )
-
-import numpy as np
-
-from repro.core.insert import Inserter
 from repro.core.mapping import BitIntervalMap
-from repro.core.tuples import PackedSlot, bits_of, purge_expired, write_entry
-from repro.overlay.antientropy import AntiEntropyStats, antientropy_round
+from repro.core.tuples import copy_entries, packed_slots, purge_expired, vectors_mask
 from repro.overlay.dht import DHTProtocol
 from repro.overlay.messages import DEFAULT_SIZE_MODEL, SizeModel
 from repro.overlay.replication import live_predecessors, replica_chain
@@ -46,33 +39,10 @@ __all__ = [
     "MaintenanceReport",
     "MaintenanceScheduler",
     "antientropy_sweep",
-    "refresh",
     "replica_divergence",
     "stabilize",
     "sweep_expired",
 ]
-
-
-def refresh(
-    inserter: Inserter,
-    metric_id: Hashable,
-    items: Iterable[Any],
-    origin: Optional[int] = None,
-    now: int = 0,
-) -> OpCost:
-    """Re-insert (refresh) live items, resetting their time-outs.
-
-    Refreshing is literally re-insertion: matching entries get their
-    expiry bumped, missing ones are re-created (e.g. after a crash).
-    An ndarray of item ids takes the vectorized
-    :meth:`~repro.core.insert.Inserter.insert_array` lane — bit- and
-    cost-identical to the scalar bulk path (both draw target keys from
-    the same per-interval RNG stream and store the same deduplicated
-    tuples), just hashed in one numpy pass.
-    """
-    if isinstance(items, np.ndarray):
-        return inserter.insert_array(metric_id, items, origin=origin, now=now)
-    return inserter.insert_bulk(metric_id, items, origin=origin, now=now)
 
 
 def sweep_expired(dht: DHTProtocol, now: int) -> int:
@@ -88,20 +58,6 @@ def sweep_expired(dht: DHTProtocol, now: int) -> int:
     return removed
 
 
-# The predecessor walk now lives next to replica_chain in
-# repro.overlay.replication; the private alias keeps this module's
-# call sites unchanged.
-_live_predecessors = live_predecessors
-
-
-def _entry_expiry(slot: PackedSlot, vector: int) -> Optional[int]:
-    """Source expiry of ``vector`` in ``slot`` (``None`` = immortal)."""
-    if (slot.mask >> vector) & 1:
-        return None
-    raw = (slot.expiring or {}).get(vector)
-    return int(raw) if raw is not None else None
-
-
 def _handoff_to_interval(
     dht: DHTProtocol,
     mapping: BitIntervalMap,
@@ -113,10 +69,8 @@ def _handoff_to_interval(
 
     Insert-time replicas live on the primary's ring successors, which
     for keys near an interval's upper end sit *outside* the interval —
-    where the counting walk never looks.  The walk's reach for interval
-    ``[lo, hi)`` is exactly the in-interval nodes plus the one overflow
-    owner (the node owning key ``hi - 1``, which owns every in-interval
-    key when the interval is empty of nodes).  While the primary is
+    where the counting walk never looks
+    (:func:`~repro.core.antientropy.walk_visible`).  While the primary is
     alive a spilled replica is harmless — the walk reads the primary —
     but a crashed-and-rejoined primary comes back empty and masks its
     replicas: the bits survive globally yet the count confidently
@@ -126,25 +80,13 @@ def _handoff_to_interval(
     bounded: once a visible node holds the bits, ``missing`` is empty
     and later sweeps are free.
     """
-
-    def visible(index: int, node_id: int) -> bool:
-        if mapping.contains(index, node_id):
-            return True
-        lo, hi = mapping.interval_for_index(index)
-        return node_id == dht.owner_of(hi - 1)
-
     for node_id in list(dht.node_ids()):
         if not dht.node_responsive(node_id):
             continue
-        node = dht.node(node_id)
-        slots = [
-            (key, slot)
-            for key, slot in node.store.items()
-            if isinstance(slot, PackedSlot)
-        ]
+        slots = packed_slots(dht.node(node_id))
         if not slots:
             continue
-        predecessors = _live_predecessors(dht, node_id, 1)
+        predecessors = live_predecessors(dht, node_id, 1)
         if not predecessors:
             continue
         pred_id = predecessors[0]
@@ -152,30 +94,16 @@ def _handoff_to_interval(
             continue
         pred_node = dht.node(pred_id)
         wrote = 0
-        for slot_key, slot in slots:
-            metric, bit = cast(Tuple[Hashable, int], slot_key)
-            if not mapping.is_stored(bit):
-                continue
-            index = mapping.interval_index(bit)
-            if visible(index, node_id):
+        for (metric, bit), slot in slots:
+            if walk_visible(dht, mapping, bit, node_id):
                 continue  # the walk already reaches this holder
-            if not visible(index, pred_id):
+            if not walk_visible(dht, mapping, bit, pred_id):
                 continue  # predecessor is no closer to the walk's reach
             live = slot.live_mask(now)
             if not live:
                 continue
-            pred_slot = pred_node.store.get(slot_key)
-            have = (
-                pred_slot.live_mask(now)
-                if isinstance(pred_slot, PackedSlot)
-                else 0
-            )
-            missing = live & ~have
-            for vector in bits_of(missing):
-                write_entry(
-                    pred_node, metric, vector, bit, _entry_expiry(slot, vector)
-                )
-                wrote += 1
+            missing = live & ~vectors_mask(pred_node, metric, bit, now)
+            wrote += copy_entries(slot, pred_node, metric, bit, missing)
         if wrote:
             cost.hops += 1
             cost.messages += 1
@@ -219,47 +147,25 @@ def stabilize(
     for node_id in list(dht.node_ids()):
         if not dht.node_responsive(node_id):
             continue
-        node = dht.node(node_id)
-        slots = [
-            (key, slot)
-            for key, slot in node.store.items()
-            if isinstance(slot, PackedSlot)
-        ]
+        slots = packed_slots(dht.node(node_id))
         if not slots:
             continue
-        predecessors = _live_predecessors(dht, node_id, replication)
+        predecessors = live_predecessors(dht, node_id, replication)
         successors = replica_chain(dht, node_id, replication)
         for replica_id in successors:
             if not dht.node_responsive(replica_id):
                 continue
             replica = dht.node(replica_id)
             wrote = 0
-            for slot_key, slot in slots:
-                # DHS stores one PackedSlot per (metric, bit) key.
-                metric, bit = cast(Tuple[Hashable, int], slot_key)
-                live = slot.live_mask(now)
-                if not live:
-                    continue
-                pred_mask = 0
-                for pred_id in predecessors:
-                    pred_slot = dht.node(pred_id).store.get(slot_key)
-                    if isinstance(pred_slot, PackedSlot):
-                        pred_mask |= pred_slot.live_mask(now)
-                primary = live & ~pred_mask
+            for key, slot in slots:
+                primary = primary_mask(
+                    dht, predecessors, key, slot.live_mask(now), now
+                )
                 if not primary:
                     continue
-                replica_slot = replica.store.get(slot_key)
-                have = (
-                    replica_slot.live_mask(now)
-                    if isinstance(replica_slot, PackedSlot)
-                    else 0
-                )
-                missing = primary & ~have
-                for vector in bits_of(missing):
-                    write_entry(
-                        replica, metric, vector, bit, _entry_expiry(slot, vector)
-                    )
-                    wrote += 1
+                metric, bit = key
+                missing = primary & ~vectors_mask(replica, metric, bit, now)
+                wrote += copy_entries(slot, replica, metric, bit, missing)
             if wrote:
                 cost.hops += 1
                 cost.messages += 1
@@ -281,41 +187,19 @@ def antientropy_sweep(
 ) -> AntiEntropyStats:
     """One proactive anti-entropy round (digest exchange + OR-merge).
 
-    This is the core-side glue for
-    :func:`repro.overlay.antientropy.antientropy_round`: the overlay
-    module cannot import the interval geometry or the store writer
-    (layering), so both are injected here as callables — walk visibility
-    uses the same in-interval-or-overflow-owner rule as
-    :func:`_handoff_to_interval`, segments are the bit→interval mapping,
-    and writes go through :func:`~repro.core.tuples.write_entry`.
-    A no-op (empty stats) when replication is disabled: with no chains
-    there is nothing to reconcile, and pushing copies would manufacture
+    See :func:`repro.core.antientropy.antientropy_round`.  A no-op
+    (empty stats) when replication is disabled: with no chains there is
+    nothing to reconcile, and pushing copies would manufacture
     replication the configuration never asked for.
     """
     if replication <= 0:
         return AntiEntropyStats()
-    model = size_model if size_model is not None else DEFAULT_SIZE_MODEL
-
-    def visible(bit: int, node_id: int) -> bool:
-        if not mapping.is_stored(bit):
-            return True
-        index = mapping.interval_index(bit)
-        if mapping.contains(index, node_id):
-            return True
-        lo, hi = mapping.interval_for_index(index)
-        return node_id == dht.owner_of(hi - 1)
-
-    def segment_of(bit: int) -> int:
-        return mapping.interval_index(bit) if mapping.is_stored(bit) else -1
-
     return antientropy_round(
         dht,
         replication,
         now,
-        model=model,
-        visible=visible,
-        segment_of=segment_of,
-        write_fn=write_entry,
+        mapping=mapping,
+        model=size_model,
         rng=rng,
         sample=sample,
     )
@@ -336,12 +220,7 @@ def replica_divergence(dht: DHTProtocol, replication: int, now: int = 0) -> int:
         return 0
     total = 0
     for node_id in dht.responsive_node_ids():
-        node = dht.node(node_id)
-        slots = [
-            (key, slot)
-            for key, slot in node.store.items()
-            if isinstance(slot, PackedSlot)
-        ]
+        slots = packed_slots(dht.node(node_id))
         if not slots:
             continue
         predecessors = live_predecessors(
@@ -350,25 +229,13 @@ def replica_divergence(dht: DHTProtocol, replication: int, now: int = 0) -> int:
         chain = replica_chain(dht, node_id, replication, responsive_only=True)
         if not chain:
             continue
-        for slot_key, slot in slots:
-            live = slot.live_mask(now)
-            if not live:
-                continue
-            pred_mask = 0
-            for pred_id in predecessors:
-                pred_slot = dht.node(pred_id).store.get(slot_key)
-                if isinstance(pred_slot, PackedSlot):
-                    pred_mask |= pred_slot.live_mask(now)
-            primary = live & ~pred_mask
+        for key, slot in slots:
+            primary = primary_mask(dht, predecessors, key, slot.live_mask(now), now)
             if not primary:
                 continue
+            metric, bit = key
             for replica_id in chain:
-                replica_slot = dht.node(replica_id).store.get(slot_key)
-                have = (
-                    replica_slot.live_mask(now)
-                    if isinstance(replica_slot, PackedSlot)
-                    else 0
-                )
+                have = vectors_mask(dht.node(replica_id), metric, bit, now)
                 total += (primary & ~have).bit_count()
     return total
 

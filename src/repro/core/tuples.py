@@ -19,7 +19,7 @@ merges mark the count stale and the next query rescans once.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, NamedTuple, Optional
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple, cast
 
 from repro.overlay.node import Node, StoreValue
 
@@ -29,6 +29,8 @@ __all__ = [
     "bits_of",
     "write_entry",
     "write_entry_mask",
+    "copy_entries",
+    "packed_slots",
     "vectors_mask",
     "vectors_at",
     "merge_store_values",
@@ -88,12 +90,6 @@ class PackedSlot:
             self._ttl_or = 0
             self._ttl_min = _NEVER
 
-    def reset(self, mask: int, expiring: Optional[Dict[int, float]]) -> None:
-        """Replace the slot's contents wholesale (merge paths)."""
-        self.mask = mask
-        self.expiring = expiring if expiring else None
-        self._recompute_ttl_cache()
-
     def live_mask(self, now: int) -> int:
         """Bitmap of vectors alive at time ``now`` (immortal + unexpired)."""
         expiring = self.expiring
@@ -137,10 +133,6 @@ def bits_of(mask: int) -> List[int]:
     return out
 
 
-def _live(expiry: float, now: int) -> bool:
-    return expiry >= now
-
-
 def _slot_for(node: Node, metric_id: Hashable, bit: int) -> PackedSlot:
     """The slot for ``(metric_id, bit)``, created empty on first write."""
     key = (metric_id, bit)
@@ -152,44 +144,43 @@ def _slot_for(node: Node, metric_id: Hashable, bit: int) -> PackedSlot:
     return slot
 
 
-def write_entry(
-    node: Node,
-    metric_id: Hashable,
-    vector_id: int,
-    bit: int,
-    expiry: Optional[int],
-) -> None:
-    """Record (or refresh) one DHS entry at ``node``."""
-    slot = _slot_for(node, metric_id, bit)
-    vector_bit = 1 << vector_id
-    if expiry is None:
-        # Immortal: fold into the mask; it dominates any pending TTL.
-        if slot.mask & vector_bit:
-            return  # already immortal — nothing to change
-        slot.mask |= vector_bit
-        expiring = slot.expiring
-        if expiring and expiring.pop(vector_id, None) is not None:
-            return  # TTL'd entry promoted: net entry count unchanged
-        node.app_entries += 1
-        return
-    if slot.mask & vector_bit:
-        return  # already stored forever; a TTL refresh cannot shorten it
+def _fold(slot: PackedSlot, add_mask: int, expiry: Optional[float]) -> int:
+    """Fold vectors ``add_mask`` into ``slot``; returns the net new entries.
+
+    An immortal write (``expiry`` ``None``) ORs the bitmap into ``mask``
+    and promotes any TTL'd copies of those vectors; a TTL write adds the
+    vectors not already immortal to ``expiring``, refreshing existing
+    expiries max-wins.  ``_ttl_min`` may become a stale lower bound on
+    refresh, which only makes the :meth:`PackedSlot.live_mask`
+    short-circuit fire less often — never incorrectly.
+    """
+    new_bits = add_mask & ~slot.mask
+    if not new_bits:
+        return 0
     expiring = slot.expiring
+    if expiry is None:
+        slot.mask |= new_bits
+        promoted = 0
+        if expiring:
+            for vector in bits_of(new_bits & slot._ttl_or):
+                if expiring.pop(vector, None) is not None:
+                    promoted += 1
+        return new_bits.bit_count() - promoted
     if expiring is None:
         expiring = slot.expiring = {}
     new_expiry = float(expiry)
-    current = expiring.get(vector_id)
-    if current is None:
-        expiring[vector_id] = new_expiry
-        slot._ttl_or |= vector_bit
-        if new_expiry < slot._ttl_min:
-            slot._ttl_min = new_expiry
-        node.app_entries += 1
-    elif new_expiry > current:
-        # Refresh (max-wins): ``_ttl_min`` may now be a stale lower
-        # bound, which only makes the live_mask short-circuit fire less
-        # often — never incorrectly.
-        expiring[vector_id] = new_expiry
+    added = 0
+    for vector in bits_of(new_bits):
+        current = expiring.get(vector)
+        if current is None:
+            expiring[vector] = new_expiry
+            added += 1
+        elif new_expiry > current:
+            expiring[vector] = new_expiry
+    slot._ttl_or |= new_bits
+    if new_expiry < slot._ttl_min:
+        slot._ttl_min = new_expiry
+    return added
 
 
 def write_entry_mask(
@@ -197,26 +188,57 @@ def write_entry_mask(
     metric_id: Hashable,
     bit: int,
     add_mask: int,
+    expiry: Optional[float],
 ) -> None:
-    """Fold a whole immortal vector bitmap into one ``(metric, bit)`` slot.
+    """Record (or refresh) every vector of ``add_mask`` at one slot.
 
-    Equivalent to ``write_entry(node, metric_id, v, bit, None)`` for
-    every set bit ``v`` of ``add_mask``, in one operation: the bulk
-    insertion path writes an interval's deduplicated vector set with a
-    single mask OR instead of up to ``m`` per-vector store writes.
+    The one write into a node store: equivalent to one DHS tuple
+    ``<metric_id, v, bit, expiry>`` per set bit ``v``, in one operation.
+    ``expiry`` ``None`` is immortal and dominates any TTL.
     """
-    slot = _slot_for(node, metric_id, bit)
-    new_bits = add_mask & ~slot.mask
-    if not new_bits:
-        return
-    promoted = 0
-    expiring = slot.expiring
-    if expiring:
-        for vector in bits_of(new_bits & slot._ttl_or):
-            if expiring.pop(vector, None) is not None:
-                promoted += 1
-    slot.mask |= add_mask
-    node.app_entries += new_bits.bit_count() - promoted
+    node.app_entries += _fold(_slot_for(node, metric_id, bit), add_mask, expiry)
+
+
+def write_entry(
+    node: Node,
+    metric_id: Hashable,
+    vector_id: int,
+    bit: int,
+    expiry: Optional[float],
+) -> None:
+    """Record (or refresh) one DHS entry at ``node``."""
+    write_entry_mask(node, metric_id, bit, 1 << vector_id, expiry)
+
+
+def copy_entries(
+    src: PackedSlot, dst: Node, metric_id: Hashable, bit: int, bits: int
+) -> int:
+    """Copy vectors ``bits`` of ``src`` onto ``dst``; returns how many.
+
+    Each copy keeps its source expiry (immortal stays immortal, TTL'd
+    vectors age out on schedule).  Every vector of ``bits`` must be
+    stored in ``src``.
+    """
+    immortal = bits & src.mask
+    if immortal:
+        write_entry_mask(dst, metric_id, bit, immortal, None)
+    expiring = src.expiring or {}
+    for vector in bits_of(bits & ~immortal):
+        write_entry_mask(dst, metric_id, bit, 1 << vector, expiring[vector])
+    return bits.bit_count()
+
+
+def packed_slots(node: Node) -> List[Tuple[Tuple[Hashable, int], PackedSlot]]:
+    """The DHS slots of ``node`` as ``((metric, bit), slot)`` pairs.
+
+    A snapshot list, so callers may write to other stores (or this one)
+    while walking it; other applications' values are skipped.
+    """
+    return [
+        (cast(Tuple[Hashable, int], key), slot)
+        for key, slot in node.store.items()
+        if isinstance(slot, PackedSlot)
+    ]
 
 
 def vectors_mask(node: Node, metric_id: Hashable, bit: int, now: int = 0) -> int:
@@ -237,34 +259,14 @@ def merge_store_values(
 ) -> StoreValue:
     """Merge two slots for the same key (used on graceful leave).
 
-    Packed slots merge mask-wise (union of immortal vectors, max-wins on
-    TTL'd expiries, immortality dominating) and the merge is folded into
-    ``incoming`` in place.  Plain ``{vector: expiry}`` dicts — the
-    pre-packed layout — still merge max-wins so mixed-era stores and the
-    reference implementation keep working.
+    ``existing``'s entries are folded into ``incoming`` in place, exactly
+    as if they had been written there: union of immortal vectors,
+    max-wins on TTL'd expiries, immortality dominating.
     """
-    if isinstance(incoming, PackedSlot):
-        mask = incoming.mask
-        expiring: Dict[int, float] = dict(incoming.expiring or {})
-        if isinstance(existing, PackedSlot):
-            mask |= existing.mask
-            for vector, expiry in (existing.expiring or {}).items():
-                current = expiring.get(vector)
-                if current is None or expiry > current:
-                    expiring[vector] = expiry
-        for vector in bits_of(mask):
-            expiring.pop(vector, None)
-        incoming.reset(mask, expiring or None)
-        return incoming
-    if isinstance(incoming, dict):
-        if not isinstance(existing, dict):
-            return dict(incoming)
-        merged = dict(existing)
-        for vector, expiry in incoming.items():
-            current = merged.get(vector)
-            if current is None or expiry > current:
-                merged[vector] = expiry
-        return merged
+    if isinstance(incoming, PackedSlot) and isinstance(existing, PackedSlot):
+        _fold(incoming, existing.mask, None)
+        for vector, expiry in (existing.expiring or {}).items():
+            _fold(incoming, 1 << vector, expiry)
     return incoming
 
 
@@ -274,8 +276,8 @@ def purge_expired(node: Node, now: int) -> int:
     The sweep already visits every slot, so it also recomputes the
     incremental ``app_entries`` count from what actually survives
     (rather than decrementing a possibly-stale value): any divergence
-    introduced outside ``write_entry`` — an amnesia rejoin wiping the
-    store, a bulk merge — is resynchronized here for free.
+    introduced outside :func:`write_entry_mask` — an amnesia rejoin
+    wiping the store, a bulk merge — is resynchronized here for free.
     """
     removed = 0
     surviving = 0
@@ -286,7 +288,7 @@ def purge_expired(node: Node, now: int) -> int:
         expiring = slot.expiring
         if expiring and now > slot._ttl_min:
             stale = [
-                vector for vector, expiry in expiring.items() if not _live(expiry, now)
+                vector for vector, expiry in expiring.items() if expiry < now
             ]
             for vector in stale:
                 del expiring[vector]
@@ -308,7 +310,7 @@ def purge_expired(node: Node, now: int) -> int:
 def storage_entries(node: Node) -> int:
     """Number of live-or-stale DHS entries stored at ``node``.
 
-    O(1): reads the count ``write_entry``/``purge_expired`` maintain
+    O(1): reads the count ``write_entry_mask``/``purge_expired`` maintain
     incrementally.  Bulk store merges (graceful leaves) set
     ``node.app_entries_stale``, and the next query rescans once to
     resynchronize.

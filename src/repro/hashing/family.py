@@ -14,6 +14,7 @@ bytes) with two interchangeable back-ends:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from numbers import Integral
 from typing import Any
 
 from repro.hashing.bits import mask
@@ -33,7 +34,9 @@ def _to_bytes(item: Any) -> bytes:
         # bool is an int subclass; give it a distinct tag to avoid aliasing
         # True with the integer 1 in string-keyed workloads.
         return b"bool:\x01" if item else b"bool:\x00"
-    if isinstance(item, int):
+    if isinstance(item, Integral):
+        # numpy integer scalars hash exactly like the equal Python int.
+        item = int(item)
         width = max(8, (item.bit_length() + 8) // 8 * 8)
         return item.to_bytes(width // 8, "little", signed=True)
     if isinstance(item, tuple):
@@ -50,8 +53,8 @@ def _to_int(item: Any) -> int:
     """Map an item onto an integer for the mixer back-end."""
     if isinstance(item, bool):
         return 0x626F6F6C_00000000 | int(item)
-    if isinstance(item, int):
-        return item
+    if isinstance(item, Integral):
+        return int(item)
     data = _to_bytes(item)
     # Fold the bytes FNV-1a style, then rely on the mixer for avalanche.
     acc = 0xCBF29CE484222325

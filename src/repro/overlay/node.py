@@ -39,7 +39,7 @@ class Node:
         #: ``(metric_id, bit) -> PackedSlot`` slot per key here.
         self.store: NodeStore = {}
         #: Application-maintained entry count (DHS tuples stored here).
-        #: Kept incrementally by ``repro.core.tuples.write_entry`` /
+        #: Kept incrementally by ``repro.core.tuples.write_entry_mask`` /
         #: ``purge_expired`` so load snapshots avoid a full store scan.
         self.app_entries = 0
         #: Set by bulk store merges (graceful leaves); the next

@@ -1,10 +1,12 @@
-"""``insert_array`` is an exact twin of the scalar bulk path.
+"""``insert_bulk`` on an ndarray is an exact twin of the item-by-item lane.
 
-The vectorized inserter must be *indistinguishable* from
-``insert_bulk`` given the same items, seed and overlay: same stored
-tuples on the same nodes, same random target keys (hence the same
-``OpCost``, hop for hop).  These tests pin that equivalence, the md4
-fallback, and the zero-cost contract for positions below ``bit_shift``.
+An integer ndarray is hashed in one numpy pass; any other iterable goes
+through ``observation()`` one item at a time.  Both lanes must be
+*indistinguishable* given the same items, seed and overlay, immortal or
+TTL'd: same stored tuples on the same nodes, same random target keys
+(hence the same ``OpCost``, hop for hop).  These tests pin that
+equivalence, the md4 fallback, and the zero-cost contract for positions
+below ``bit_shift``.
 """
 
 import numpy as np
@@ -45,15 +47,24 @@ def assert_costs_equal(a: OpCost, b: OpCost):
 
 
 class TestArrayVsBulk:
-    @pytest.mark.parametrize("kwargs", [{}, {"bit_shift": 3}, {"replication": 2}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"bit_shift": 3},
+            {"replication": 2},
+            {"ttl": 5},
+            {"ttl": 5, "replication": 2},
+        ],
+    )
     def test_exact_equality(self, kwargs):
         scalar = make_dhs(trace=True, **kwargs)
         vectorized = make_dhs(trace=True, **kwargs)
         items = list(range(2000)) + list(range(500))  # duplicates included
         origin = scalar.dht.node_ids()[0]
-        cost_scalar = scalar.insert_bulk("docs", items, origin=origin)
-        cost_array = vectorized.insert_array(
-            "docs", np.array(items, dtype=np.int64), origin=origin
+        cost_scalar = scalar.insert_bulk("docs", items, origin=origin, now=3)
+        cost_array = vectorized.insert_bulk(
+            "docs", np.array(items, dtype=np.int64), origin=origin, now=3
         )
         assert_costs_equal(cost_scalar, cost_array)
         assert stored_state(scalar) == stored_state(vectorized)
@@ -65,7 +76,7 @@ class TestArrayVsBulk:
         for batch in range(5):
             items = list(range(batch * 300, batch * 300 + 300))
             cost_scalar = scalar.insert_bulk("docs", items)
-            cost_array = vectorized.insert_array(
+            cost_array = vectorized.insert_bulk(
                 "docs", np.array(items, dtype=np.int64)
             )
             assert_costs_equal(cost_scalar, cost_array)
@@ -73,19 +84,19 @@ class TestArrayVsBulk:
 
     def test_facade_delegates(self):
         dhs = make_dhs()
-        cost = dhs.insert_array("docs", np.arange(100, dtype=np.int64))
+        cost = dhs.insert_bulk("docs", np.arange(100, dtype=np.int64))
         assert cost.lookups > 0
 
     def test_accepts_python_list(self):
         scalar = make_dhs()
         vectorized = make_dhs()
-        cost_scalar = scalar.insert_bulk("docs", range(250))
-        cost_array = vectorized.insert_array("docs", list(range(250)))
+        cost_scalar = scalar.insert_bulk("docs", list(range(250)))
+        cost_array = vectorized.insert_bulk("docs", np.arange(250))
         assert_costs_equal(cost_scalar, cost_array)
 
     def test_empty_array(self):
         dhs = make_dhs()
-        cost = dhs.insert_array("docs", np.array([], dtype=np.int64))
+        cost = dhs.insert_bulk("docs", np.array([], dtype=np.int64))
         assert cost.hops == 0
         assert cost.lookups == 0
 
@@ -94,7 +105,7 @@ class TestArrayVsBulk:
         vectorized = make_dhs(hash_family_name="md4")
         items = list(range(300))
         cost_scalar = scalar.insert_bulk("docs", items)
-        cost_array = vectorized.insert_array(
+        cost_array = vectorized.insert_bulk(
             "docs", np.array(items, dtype=np.int64)
         )
         assert_costs_equal(cost_scalar, cost_array)
@@ -102,31 +113,16 @@ class TestArrayVsBulk:
 
 
 class TestObservationArrays:
-    def test_matches_insert_observations(self):
-        scalar = make_dhs(bit_shift=2)
-        vectorized = make_dhs(bit_shift=2)
-        rng = np.random.default_rng(7)
-        vectors = rng.integers(0, 16, size=1500)
-        positions = rng.integers(0, 14, size=1500)
-        cost_scalar = scalar._inserter.insert_observations(
-            "docs", zip(vectors.tolist(), positions.tolist())
-        )
-        cost_array = vectorized._inserter.insert_observation_arrays(
-            "docs", vectors, positions
-        )
-        assert_costs_equal(cost_scalar, cost_array)
-        assert stored_state(scalar) == stored_state(vectorized)
-
     def test_clamps_overlong_positions(self):
         scalar = make_dhs()
         vectorized = make_dhs()
         position_bits = scalar.config.position_bits
-        pairs = [(1, position_bits + 40), (2, position_bits - 1), (1, 0)]
-        cost_scalar = scalar._inserter.insert_observations("docs", pairs)
+        vectors = np.array([1, 2, 1], dtype=np.int64)
+        cost_scalar = scalar._inserter.insert_observation_arrays(
+            "docs", vectors, np.array([position_bits - 1, position_bits - 1, 0])
+        )
         cost_array = vectorized._inserter.insert_observation_arrays(
-            "docs",
-            np.array([v for v, _ in pairs], dtype=np.int64),
-            np.array([p for _, p in pairs], dtype=np.int64),
+            "docs", vectors, np.array([position_bits + 40, position_bits - 1, 0])
         )
         assert_costs_equal(cost_scalar, cost_array)
         assert stored_state(scalar) == stored_state(vectorized)

@@ -198,10 +198,6 @@ class TestMergeStoreValues:
         assert merged.mask == 0b101
         assert merged.expiring == {4: 7.0}
 
-    def test_legacy_dict_slots_merge_max_wins(self):
-        merged = merge_store_values({1: 5.0}, {1: 3.0, 2: 9.0})
-        assert merged == {1: 5.0, 2: 9.0}
-
     @given(
         mask_a=st.integers(0, 2**MAX_VECTOR - 1),
         mask_b=st.integers(0, 2**MAX_VECTOR - 1),
@@ -253,7 +249,7 @@ def _loaded_dhs(ring_seed, dhs_seed, items):
     dhs = DistributedHashSketch(
         ring, DHSConfig(key_bits=12, num_bitmaps=16), seed=dhs_seed
     )
-    dhs.insert_array("docs", np.arange(items, dtype=np.int64))
+    dhs.insert_bulk("docs", np.arange(items, dtype=np.int64))
     return ring, dhs
 
 

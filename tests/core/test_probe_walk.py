@@ -254,7 +254,7 @@ def _replay(dhs, ops):
         if op[0] == "insert":
             _, metric, n, base, now = op
             items = np.arange(base * 100, base * 100 + n, dtype=np.int64)
-            out.append(dhs.insert_array(metric, items, now=now))
+            out.append(dhs.insert_bulk(metric, items, now=now))
         elif op[0] == "sweep":
             out.append(dhs.sweep_expired(op[1]))
         elif op[0] in ("leave", "crash"):

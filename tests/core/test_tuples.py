@@ -2,7 +2,6 @@
 
 from repro.core.tuples import (
     DHSTuple,
-    merge_store_values,
     purge_expired,
     storage_entries,
     vectors_at,
@@ -86,25 +85,6 @@ class TestTTL:
         write_entry(node, "a", 1, 0, expiry=5)
         purge_expired(node, now=10)
         assert node.store == {}
-
-
-class TestMerge:
-    def test_merge_none_existing(self):
-        assert merge_store_values(None, {1: 5.0}) == {1: 5.0}
-
-    def test_merge_unions_vectors(self):
-        merged = merge_store_values({1: 5.0}, {2: 7.0})
-        assert merged == {1: 5.0, 2: 7.0}
-
-    def test_merge_keeps_later_expiry(self):
-        assert merge_store_values({1: 5.0}, {1: 9.0}) == {1: 9.0}
-        assert merge_store_values({1: 9.0}, {1: 5.0}) == {1: 9.0}
-
-    def test_merge_does_not_mutate_inputs(self):
-        existing, incoming = {1: 5.0}, {2: 7.0}
-        merge_store_values(existing, incoming)
-        assert existing == {1: 5.0}
-        assert incoming == {2: 7.0}
 
 
 class TestDHSTuple:

@@ -37,7 +37,7 @@ def build_cell():
 
 def run_cell(dhs):
     """Populate + count: the two phases whose tallies must not mix."""
-    dhs.insert_array("docs", np.arange(4000, dtype=np.int64))
+    dhs.insert_bulk("docs", np.arange(4000, dtype=np.int64))
     rng = rng_for(SEED, "origins")
     for _ in range(3):
         dhs.count("docs", origin=dhs.dht.random_live_node(rng))
@@ -61,7 +61,7 @@ class TestCellIsolation:
     def test_reset_between_phases_isolates_query_load(self):
         """reset() after populate leaves exactly the count-phase tallies."""
         ring, dhs = build_cell()
-        dhs.insert_array("docs", np.arange(4000, dtype=np.int64))
+        dhs.insert_bulk("docs", np.arange(4000, dtype=np.int64))
         insert_load = ring.load.total
         assert insert_load > 0
         ring.load.reset()
@@ -75,7 +75,7 @@ class TestCellIsolation:
         # The same count phase on a rebuilt cell whose tracker was never
         # polluted by inserts yields the identical per-node map.
         clean_ring, clean_dhs = build_cell()
-        clean_dhs.insert_array("docs", np.arange(4000, dtype=np.int64))
+        clean_dhs.insert_bulk("docs", np.arange(4000, dtype=np.int64))
         clean_ring.load.reset()
         clean_rng = rng_for(SEED, "origins")
         for _ in range(3):

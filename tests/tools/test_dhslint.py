@@ -370,9 +370,18 @@ class TestDigestOutsideAntientropy:
         assert codes == ["DHS1001", "DHS1001"]
 
     def test_antientropy_module_exempt(self, tmp_path):
-        # The same snippet would trip DHS201 too (overlay importing
-        # core) — the real module duck-types slots for exactly that
-        # reason; here only the DHS1001 exemption is under test.
+        codes, _ = lint(
+            tmp_path,
+            "import hashlib\n"
+            "from repro.core.tuples import PackedSlot\n"
+            "d = hashlib.blake2b(b'row')\n",
+            module="repro.core.antientropy",
+        )
+        assert "DHS1001" not in codes
+
+    def test_old_overlay_location_no_longer_exempt(self, tmp_path):
+        # Exactly one module may hash register state: the old overlay
+        # path gets no exemption of its own.
         codes, _ = lint(
             tmp_path,
             "import hashlib\n"
@@ -380,7 +389,7 @@ class TestDigestOutsideAntientropy:
             "d = hashlib.blake2b(b'row')\n",
             module="repro.overlay.antientropy",
         )
-        assert "DHS1001" not in codes
+        assert codes.count("DHS1001") == 2
 
     def test_hashlib_without_store_clean(self, tmp_path):
         # workloads/relations.py hashes relation names — no register

@@ -1,7 +1,7 @@
 """Reconciliation rules (DHS10xx).
 
 Anti-entropy correctness hinges on one invariant: **equal register
-state digests to identical bytes**.  ``repro.overlay.antientropy``
+state digests to identical bytes**.  ``repro.core.antientropy``
 canonicalizes every slot bitmap one way (``mask.to_bytes(...,
 "little")`` with trailing zeros stripped), and every digest in the
 system is built from that one canonical form.  A second module hashing
@@ -22,7 +22,7 @@ from tools.analyze.engine import FileContext, Rule, Violation, register
 from tools.analyze.rules._imports import ImportTable
 
 #: The one module allowed to hash register-store state.
-_ANTIENTROPY_ROOT = "repro.overlay.antientropy"
+_ANTIENTROPY_ROOT = "repro.core.antientropy"
 
 #: The node-store module whose state is being digested.
 _STORE_ROOT = "repro.core.tuples"
@@ -53,14 +53,14 @@ class DigestOutsideAntientropy(Rule):
     rationale = (
         "Anti-entropy digests are only meaningful if every node computes "
         "them from the identical canonical bytes: "
-        "`repro.overlay.antientropy` owns that canonicalization "
+        "`repro.core.antientropy` owns that canonicalization "
         "(`mask.to_bytes`, little-endian, trailing zeros stripped) and "
         "the blake2b leaf/segment/root construction over it. A module "
         "that imports repro.core.tuples (the node store) and hashes on "
         "its own forks the canonical form — two replicas "
         "could then disagree about convergence because of how they "
         "hashed, not what they store. Compute digests via "
-        "repro.overlay.antientropy (store_digest / view_digest) instead."
+        "repro.core.antientropy (store_digest / view_digest) instead."
     )
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
